@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BalanceFamiliesDisagree, HInDihedralizer
+from .errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 from .orbits import OrbitTable, image_points, intersect_count
 from .projective import CanonicalGenerators, Element
 
@@ -80,17 +80,19 @@ def intersection_counts(gens: CanonicalGenerators, tab: OrbitTable,
 
 
 def _assert_count_invariants(gens: CanonicalGenerators, c: IntersectionCounts):
+    """Raise InvariantViolated unless the counts partition as they must."""
     half = (gens.q + 1) // 2
     m, mb, p = c.m, c.mb, c.p
-    assert m[0][0] + m[0][1] == half and m[1][0] + m[1][1] == half
-    assert m[0][0] + m[1][0] == half and m[0][1] + m[1][1] == half
-    assert m[0][1] == m[1][0] and m[0][0] == m[1][1]
-    for b in range(p):
-        for j in range(2):
-            for k in range(2):
-                assert mb[b][0][j][k] + mb[b][1][j][k] == m[j][k]
-    assert mb[0][0][0][1] == mb[0][0][1][0]
-    assert mb[0][1][0][1] == mb[0][1][1][0]
+    ok = (m[0][0] + m[0][1] == half and m[1][0] + m[1][1] == half
+          and m[0][0] + m[1][0] == half and m[0][1] + m[1][1] == half
+          and m[0][1] == m[1][0] and m[0][0] == m[1][1]
+          and all(mb[b][0][j][k] + mb[b][1][j][k] == m[j][k]
+                  for b in range(p) for j in range(2) for k in range(2))
+          and mb[0][0][0][1] == mb[0][0][1][0]
+          and mb[0][1][0][1] == mb[0][1][1][0])
+    if not ok:
+        raise InvariantViolated("intersection counts break the orbit partition "
+                                "or the b = 0 symmetry")
 
 
 def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,

@@ -27,6 +27,12 @@ class BalanceFamiliesDisagree(ArithmeticError):
     shift, so the triple counts behind a balance verdict are inconsistent."""
 
 
+class InvariantViolated(ArithmeticError):
+    """A structural fact that a verdict rests on failed to hold, so the
+    inputs or the arithmetic behind them are corrupt.  Raised instead of
+    an assert so that the check also runs under python -O."""
+
+
 class NoElementOfOrderP(ValueError):
     """The group order is not divisible by the requested prime."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotPrime, ZeroElement
+from .errors import InvariantViolated, NotPrime, ZeroElement
 
 
 def is_prime(n: int) -> bool:
@@ -245,7 +245,7 @@ class PrimeField:
     def inv(self, x):
         if x == 0:
             raise ZeroElement("0 has no inverse")
-        return pow(x, self.l - 2, self.l)
+        return pow(x, -1, self.l)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
@@ -575,13 +575,18 @@ class FieldSetup:
 
 def build_setup(pp: PrimePower) -> FieldSetup:
     """Deterministic setup for PSL(2,q): scan xi by encoding, take the first
-    xi**(q-1) of multiplicative order exactly q+1."""
+    xi**(q-1) of multiplicative order exactly q+1.
+
+    The scan starts at encoding q, the first element outside F_q: the
+    encodings 1..q-1 are F_q*, where xi**(q-1) = 1, so none of them can
+    yield alpha and skipping them leaves the chosen alpha unchanged.
+    """
     fq = make_field(pp.l, pp.r)
     fq2 = QuadraticExtension(fq)
     q = pp.q
     qp1_primes = list(factorize(q + 1))
     alpha = None
-    for e in range(1, q * q):
+    for e in range(q, q * q):
         xi = fq2.from_encoding(e)
         cand = fq2.pow(xi, q - 1)  # order divides (q^2-1)/(q-1) = q+1
         if cand == fq2.one:
@@ -589,7 +594,9 @@ def build_setup(pp: PrimePower) -> FieldSetup:
         if all(fq2.pow(cand, (q + 1) // s) != fq2.one for s in qp1_primes):
             alpha = cand
             break
-    assert alpha is not None, "F_{q^2}* is cyclic of order q^2-1"
+    if alpha is None:
+        raise InvariantViolated(f"q={q}: no element of order q+1 in F_(q^2)*, "
+                                "which is cyclic of order q^2-1")
     t = fq2.trace(alpha)
     if t in (0, 1, fq.neg(1)):
         # only happens for q + 1 < 8 (alpha would satisfy X^6 = 1)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .finite_fields import Field, FieldSetup, is_prime
+from .errors import InvariantViolated
+from .finite_fields import Field, FieldSetup, factorize, is_prime
 
 INF = 0  # point index of [1, 0]
 
@@ -74,8 +75,15 @@ class PSL2:
         return fq.mul(num, fq.inv(den)) + 1
 
     def perm_array(self, m: Element) -> list[int]:
-        """Image of every point index under m, as a list."""
-        return [self.apply(m, pt) for pt in range(self.n_points)]
+        """Image of every point index under m, as a list; the same list as
+        [self.apply(m, pt) for pt in range(self.n_points)]."""
+        add, mul, inv = self.fq.add, self.fq.mul, self.fq.inv
+        a, b, c, d = m
+        out = [self.apply(m, INF)]
+        for x in range(self.q):
+            den = add(mul(c, x), d)
+            out.append(INF if den == 0 else mul(add(mul(a, x), b), inv(den)) + 1)
+        return out
 
     # -- group operations ----------------------------------------------
 
@@ -115,6 +123,14 @@ class PSL2:
             s += 1
             assert s <= self.q + 1, "element order exceeds the group exponent"
         return s
+
+    def has_order(self, m: Element, n: int) -> bool:
+        """True iff m has order exactly n: m^n = 1 and m^(n/s) != 1 for
+        every prime s dividing n, in O(omega(n) log n) compositions."""
+        ident = self.normalize(self.identity)
+        if self.power(m, n) != ident:
+            return False
+        return all(self.power(m, n // s) != ident for s in factorize(n))
 
     def conj_pow(self, x: Element, h: Element) -> Element:
         """x conjugated in exponent convention: h^-1 * x * h."""
@@ -270,9 +286,10 @@ def make_generators(setup: FieldSetup, p: int) -> CanonicalGenerators:
     sigma = group.make(setup.beta, 0, 0, fq.inv(setup.beta))
     d = (q + 1) // (p * d_prime)
     a = group.power(g, d)
-    assert group.element_order(g) == (q + 1) // d_prime
-    assert group.element_order(sigma) == (q - 1) // d_prime
-    assert group.element_order(a) == p
+    for name, m, n in (("g", g, (q + 1) // d_prime), ("sigma", sigma, (q - 1) // d_prime),
+                       ("a", a, p)):
+        if not group.has_order(m, n):
+            raise InvariantViolated(f"q={q}: {name} does not have order {n}")
     return CanonicalGenerators(
         setup=setup, group=group, p=p, d=d, d_prime=d_prime,
         g=g, sigma=sigma, a=a,

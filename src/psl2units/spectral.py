@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 
-from .errors import DimensionTooLarge, HInDihedralizer, InvalidSpec
+from .errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, InvariantViolated
 from .group_ring import GroupRingElement, bicyclic_right
 from .orbits import OrbitTable
 from .projective import INF, CanonicalGenerators, Element, PSL2
@@ -198,6 +197,7 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         raise InvalidSpec(f"k^m != 1 mod {p}")
     if m % p != 0:
         raise InvalidSpec(f"p={p} must divide m={m}")
+    import mpmath  # imported here: a sweep never needs it, and it costs about 4 MB
     half = (p - 1) // 2
     with mpmath.workdps(50):
         values = [mpmath.mpf(1)]
@@ -392,12 +392,15 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
         tau = nilpotent_part(group, sigma_companion(gens))
         psi, phi = _even_vectors(gens)
 
-    assert not (tau @ tau).any(), "displacement must square to zero"
-    assert np.array_equal(tau, np.outer(psi, phi)), \
-        "displacement must factor through the expected image vector"
-    assert sum(p_ * w_ for p_, w_ in zip(phi, psi)) == 0  # image inside kernel
+    if (tau @ tau).any():
+        raise InvariantViolated("displacement must square to zero")
+    if not np.array_equal(tau, np.outer(psi, phi)):
+        raise InvariantViolated("displacement must factor through the expected image vector")
+    if sum(p_ * w_ for p_, w_ in zip(phi, psi)) != 0:
+        raise InvariantViolated("image vector must lie in the kernel hyperplane")
     rank = integer_rank(tau)
-    assert rank == 1
+    if rank != 1:
+        raise InvariantViolated(f"displacement has rank {rank}, not 1")
 
     # Only the nonzero shifts matter: the certificate needs the extreme
     # eigenspaces out of the kernel hyperplane and the image vector

@@ -15,7 +15,7 @@ import json
 import logging
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -188,8 +188,10 @@ def _load_journal(out_path: Path) -> dict[tuple[int, int], str]:
     return done
 
 
-def _compact_output(out_path: Path, done: dict[tuple[int, int], str]) -> list[str]:
-    """Keep exactly one journaled record per key, dropping orphans."""
+def _compact_output(out_path: Path,
+                    done: dict[tuple[int, int], str]) -> dict[tuple[int, int], str]:
+    """Keep exactly one record per journaled key whose digest matches its
+    journal entry, dropping orphans and altered lines."""
     kept: dict[tuple[int, int], str] = {}
     if out_path.exists():
         for line in out_path.read_text().splitlines():
@@ -197,9 +199,10 @@ def _compact_output(out_path: Path, done: dict[tuple[int, int], str]) -> list[st
                 continue
             rec = json.loads(line)
             key = (rec["q"], rec["p"])
-            if key in done and key not in kept:
+            if key in done and key not in kept \
+                    and SweepRecord.from_json_dict(rec).digest() == done[key]:
                 kept[key] = line
-    return [kept[k] for k in sorted(kept)]
+    return kept
 
 
 @dataclass
@@ -234,50 +237,51 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]
-    done = _load_journal(out_path) if resume else {}
-    kept_lines = _compact_output(out_path, done) if resume else []
-    pending = [key for key in pairs if key not in done]
+    kept = _compact_output(out_path, _load_journal(out_path)) if resume else {}
+    # a journaled pair whose line is missing or altered is run again
+    pending = [key for key in pairs if key not in kept]
 
     journal = _journal_path(out_path)
     if not resume:
         journal.unlink(missing_ok=True)
     counterexamples = []
     satisfied = 0
-    for line in kept_lines:
-        rec = json.loads(line)
-        if rec["satisfied"]:
-            satisfied += 1
-        else:
-            counterexamples.append((rec["q"], rec["p"]))
 
-    with open(out_path, "w") as out, open(journal, "a") as jn:
-        for line in kept_lines:
-            out.write(line + "\n")
-        out.flush()
+    with open(out_path, "w") as out, open(journal, "a") as jn, ExitStack() as stack:
+        def tally(key, ok: bool):
+            nonlocal satisfied
+            if ok:
+                satisfied += 1
+            else:
+                counterexamples.append(key)
 
         def emit(key, rec: SweepRecord):
-            nonlocal satisfied
             out.write(rec.to_json_line() + "\n")
             out.flush()
             jn.write(json.dumps({"q": key[0], "p": key[1], "digest": rec.digest()}) + "\n")
             jn.flush()
-            if rec.satisfied:
-                satisfied += 1
-            else:
-                counterexamples.append(key)
+            tally(key, rec.satisfied)
+            if not rec.satisfied:
                 log.warning("POSSIBLE_COUNTEREXAMPLE at (q=%d, p=%d)", *key)
             if progress:
                 progress(key, rec)
 
         task_args = [(q, p, samples, seed, exhaustive_fallback) for q, p in pending]
         if jobs <= 1:
-            for args in task_args:
-                key, rec = _run_task(args)
-                emit(key, rec)
+            results = map(_run_task, task_args)
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for key, rec in pool.map(_run_task, task_args, chunksize=1):
-                    emit(key, rec)
+            # imported here: a serial sweep should not pay for the pool module
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_run_task, task_args, chunksize=1)
+        # kept lines and new records interleave in canonical order
+        for key in sorted(kept.keys() | set(pairs)):
+            if key in kept:
+                out.write(kept[key] + "\n")
+                out.flush()
+                tally(key, json.loads(kept[key])["satisfied"])
+            else:
+                emit(*next(results))
 
     return SweepSummary(pairs=len(pairs), satisfied=satisfied,
                         counterexamples=counterexamples, out_path=str(out_path))

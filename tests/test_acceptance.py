@@ -7,15 +7,13 @@ lines as they are produced.
 import random
 
 import mpmath
-import numpy as np
 import pytest
 
 from psl2units.classify import dpc_verdict
 from psl2units.engine import ConditionEngine
-from psl2units.finite_fields import PrimePower, build_setup, factorize, make_field
+from psl2units.finite_fields import PrimePower, factorize, make_field
 from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
-from psl2units.orbits import build_orbits
-from psl2units.projective import PSL2, make_generators
+from psl2units.projective import PSL2
 from psl2units.spectral import (
     diagonalizer_identities, eigen_data, exact_certificate, integer_rank,
     nilpotent_part, numeric_oracle, paired_companion, recipe_element,

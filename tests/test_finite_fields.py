@@ -2,7 +2,7 @@ import pytest
 
 from psl2units.errors import NotPrime, ZeroElement
 from psl2units.finite_fields import (
-    PrimePower, QuadraticExtension, build_setup, is_prime, make_field,
+    PrimePower, QuadraticExtension, build_setup, factorize, is_prime, make_field,
     prime_power_decomposition,
 )
 
@@ -56,7 +56,7 @@ def test_prime_power_validation():
     assert prime_power_decomposition(27) == (3, 3)
 
 
-@pytest.mark.parametrize("l,r", [(13, 1), (3, 2), (2, 4), (5, 2), (3, 3)])
+@pytest.mark.parametrize("l,r", [(2, 1), (13, 1), (1999, 1), (3, 2), (2, 4), (5, 2), (3, 3)])
 def test_field_axioms_sampled(l, r):
     import random
     fq = make_field(l, r)
@@ -167,3 +167,33 @@ def test_is_square():
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _setup_scan_from_one(pp):
+    # the scan build_setup made before it started at encoding q: every
+    # encoding from 1, each raised to q-1, the first of order exactly q+1
+    fq = make_field(pp.l, pp.r)
+    fq2 = QuadraticExtension(fq)
+    q = pp.q
+    for e in range(1, q * q):
+        cand = fq2.pow(fq2.from_encoding(e), q - 1)
+        if cand != fq2.one and fq2.element_order(cand) == q + 1:
+            alpha = cand
+            break
+    beta = next(x for x in range(1, q) if fq.element_order(x) == q - 1)
+    return alpha, fq2.trace(alpha), beta
+
+
+def test_setup_matches_scan_from_encoding_one():
+    prime_powers = [q for q in range(5, 301) if len(factorize(q)) == 1]
+    assert len(prime_powers) == 76
+    for q in prime_powers:
+        pp = PrimePower.from_q(q)
+        alpha, t, beta = _setup_scan_from_one(pp)
+        if q + 1 < 8:
+            with pytest.raises(ValueError, match="degenerate"):
+                build_setup(pp)
+            continue
+        setup = build_setup(pp)
+        assert (setup.alpha, setup.t, setup.beta) == (alpha, t, beta), q
+

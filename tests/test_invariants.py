@@ -1,0 +1,78 @@
+"""Checks that decide verdicts raise InvariantViolated, also under python -O,
+and the package imports without its heavy optional modules."""
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psl2units
+from psl2units import spectral
+from psl2units.criteria import _assert_count_invariants, intersection_counts
+from psl2units.errors import InvariantViolated
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.projective import make_generators
+
+from conftest import random_outside_dihedralizer
+
+SRC = str(Path(psl2units.__file__).resolve().parents[1])
+
+
+def _run(code: str, *flags: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+
+
+def test_generators_of_a_corrupted_setup_are_rejected():
+    # t = 2 makes g = [[0, -1], [1, 2]] unipotent, of order 13, not 7
+    setup = dataclasses.replace(build_setup(PrimePower.from_q(13)), t=2)
+    with pytest.raises(InvariantViolated, match="g does not have order 7"):
+        make_generators(setup, 7)
+
+
+def test_corrupted_counts_are_rejected(ctx13):
+    gens, tab = ctx13
+    counts = intersection_counts(gens, tab, random_outside_dihedralizer(gens, random.Random(5)))
+    counts.mb[1][0][0][1] += 1
+    with pytest.raises(InvariantViolated):
+        _assert_count_invariants(gens, counts)
+
+
+def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
+    gens, tab = ctx13
+    h = random_outside_dihedralizer(gens, random.Random(6))
+    assert spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank == 1
+    monkeypatch.setattr(spectral, "integer_rank", lambda mat: 2)
+    with pytest.raises(InvariantViolated, match="rank 2"):
+        spectral.exact_certificate(gens, tab, h, 2, 21)
+
+
+def test_invariant_checks_survive_python_O():
+    code = """
+import dataclasses
+from psl2units.errors import InvariantViolated
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.projective import make_generators
+assert False  # stripped under -O; fails the run otherwise
+setup = dataclasses.replace(build_setup(PrimePower.from_q(13)), t=2)
+try:
+    make_generators(setup, 7)
+except InvariantViolated:
+    print("rejected")
+"""
+    assert _run(code).returncode != 0
+    proc = _run(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
+
+
+def test_import_loads_neither_mpmath_nor_process_pool():
+    # a sweep needs neither; mpmath alone costs about 4 MB of RSS at import
+    proc = _run("import sys, psl2units; "
+                "print(sorted(m for m in ('mpmath', 'concurrent.futures') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -204,3 +204,23 @@ def test_lemma_style_orbit_exchange_on_dihedralizer(ctx13):
             continue
         img = {G.apply(h, pt) for pt in tab.g_orbits[0]}
         assert img in (set(tab.g_orbits[0]), set(tab.g_orbits[1]))
+
+
+@pytest.mark.parametrize("q", [8, 13, 27, 83, 125])
+def test_perm_array_matches_pointwise_apply(q):
+    pp = PrimePower.from_q(q)
+    G = PSL2(make_field(pp.l, pp.r))
+    rng = random.Random(q)
+    elements = [G.normalize(G.identity), (0, 1, G.fq.neg(1), 0)]
+    elements += [G.random_element(rng) for _ in range(40)]
+    for m in elements:
+        assert G.perm_array(m) == [G.apply(m, pt) for pt in range(G.n_points)]
+
+
+@pytest.mark.parametrize("l,r", [(7, 1), (2, 3), (3, 2), (11, 1)])
+def test_has_order_matches_element_order(l, r):
+    G = PSL2(make_field(l, r))
+    divisors = [n for n in range(1, G.order() + 1) if G.order() % n == 0]
+    for m in G.enumerate_elements():
+        order = G.element_order(m)
+        assert [G.has_order(m, n) for n in divisors] == [order == n for n in divisors]
