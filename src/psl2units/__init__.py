@@ -14,8 +14,7 @@ from .engine import ConditionEngine
 from .finite_fields import FieldSetup, PrimePower, build_setup, make_field
 from .group_ring import GroupRingElement, bass_unit, bicyclic_left, \
     bicyclic_right, conjugate_unit, hat
-from .orbits import OrbitTable, build_orbits, decompose_point, image_set, \
-    intersect_count, mask_of, points_of
+from .orbits import OrbitTable, build_orbits, intersect_count, mask_of, points_of
 from .projective import INF, CanonicalGenerators, PSL2, make_generators
 from .spectral import CycloCoefficients, EigenData, ExactCertificate, \
     NumericCertificate, certified_recipe, diagonalizer_identities, eigen_data, \

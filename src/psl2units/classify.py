@@ -35,7 +35,6 @@ def multiplicative_order(l: int, p: int) -> int:
     if p < 1:
         raise ValueError("modulus must be positive")
     l %= p
-    from math import gcd
     if gcd(l, p) != 1:
         raise NotCoprime(f"{l} and {p} are not coprime")
     s, cur = 1, l % p

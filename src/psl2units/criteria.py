@@ -179,7 +179,6 @@ def criterion_report(gens: CanonicalGenerators, tab: OrbitTable,
 class SearchResult:
     h: Optional[Element]
     tries: int
-    exhausted: bool  # True when the deterministic enumeration fallback ran
 
     @property
     def satisfied(self) -> bool:
@@ -187,12 +186,10 @@ class SearchResult:
 
 
 def search_companion(gens: CanonicalGenerators, tab: OrbitTable, rng,
-                     max_tries: int, exhaustive_fallback: bool = False) -> SearchResult:
+                     max_tries: int) -> SearchResult:
     """Sample h outside D until the orbit-sum condition holds.
 
-    Draws that land inside D are rejected without consuming a try.  When
-    sampling misses max_tries times and the fallback is enabled, the whole
-    group is enumerated deterministically before reporting absence.
+    Draws that land inside D are rejected without consuming a try.
     """
     group = gens.group
     tries = 0
@@ -203,14 +200,5 @@ def search_companion(gens: CanonicalGenerators, tab: OrbitTable, rng,
         tries += 1
         differs, _, _ = companion_condition(gens, tab, h)
         if differs:
-            return SearchResult(h=h, tries=tries, exhausted=False)
-    if exhaustive_fallback:
-        for h in group.enumerate_elements():
-            if group.in_dihedralizer(h, gens.g):
-                continue
-            tries += 1
-            differs, _, _ = companion_condition(gens, tab, h)
-            if differs:
-                return SearchResult(h=h, tries=tries, exhausted=True)
-        return SearchResult(h=None, tries=tries, exhausted=True)
-    return SearchResult(h=None, tries=tries, exhausted=False)
+            return SearchResult(h=h, tries=tries)
+    return SearchResult(h=None, tries=tries)

@@ -4,7 +4,10 @@ Exhaustive surveys touch every element of PSL(2,q) (close to a million
 for q = 125), so the per-element work is vectorized with numpy: Moebius
 images of all points for a whole batch of matrices at once, orbit
 membership via scatter/gather, and per-a-orbit counts via segmented
-sums.  Results are bit-identical to the scalar bitset path in
+sums.  Field arithmetic is read from q x q add and mul tables and
+length-q inv and neg tables, built once per engine from the field's own
+``add``, ``mul``, ``inv`` and ``neg``, so ``finite_fields`` stays the one
+owner of the encodings.  Results are bit-identical to the scalar bitset path in
 ``criteria`` (asserted in the test suite), for the orbit-sum condition
 and for the balance verdict alike.
 """
@@ -17,43 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BalanceFamiliesDisagree
-from .finite_fields import ExtensionField, PrimeField
 from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element
-
-
-class _PrimeOps:
-    def __init__(self, field: PrimeField):
-        self.q = field.q
-        self.inv = np.zeros(self.q, dtype=np.int64)
-        for e in range(1, self.q):
-            self.inv[e] = pow(e, self.q - 2, self.q)
-
-    def mul(self, x, y):
-        return (x * y) % self.q
-
-    def add(self, x, y):
-        return (x + y) % self.q
-
-
-class _ExtOps:
-    def __init__(self, field: ExtensionField):
-        self.q = field.q
-        self.l = field.l
-        self.exp = np.array(field.exp, dtype=np.int64)
-        log = np.array(field.log, dtype=np.int64)
-        log[0] = 0  # junk slot, masked out in mul
-        self.log = log
-        self.inv = np.array(field.inv_table, dtype=np.int64)
-        self.dig = np.array([field.digits(e) for e in range(self.q)], dtype=np.int64)
-        self.pows = np.array([field.l ** i for i in range(field.r)], dtype=np.int64)
-
-    def mul(self, x, y):
-        out = self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-        return np.where((x == 0) | (y == 0), 0, out)
-
-    def add(self, x, y):
-        return ((self.dig[x] + self.dig[y]) % self.l) @ self.pows
 
 
 @dataclass
@@ -88,9 +56,17 @@ class ConditionEngine:
         self.tab = tab
         group = gens.group
         fq = group.fq
-        self.q = gens.q
+        self.q = q = gens.q
         self.n_points = group.n_points
-        self.ops = _PrimeOps(fq) if isinstance(fq, PrimeField) else _ExtOps(fq)
+        # encoding tables from the field's own arithmetic; inv[0] is a junk
+        # slot, masked out wherever a denominator may vanish
+        enc = range(q)
+        self.add = np.fromiter((fq.add(x, y) for x in enc for y in enc),
+                               dtype=np.int64, count=q * q).reshape(q, q)
+        self.mul = np.fromiter((fq.mul(x, y) for x in enc for y in enc),
+                               dtype=np.int64, count=q * q).reshape(q, q)
+        self.inv = np.array([0] + [fq.inv(x) for x in range(1, q)], dtype=np.int64)
+        self.neg = np.array([fq.neg(x) for x in enc], dtype=np.int64)
 
         self.pg_inv = np.array(group.perm_array(group.inverse(gens.g)), dtype=np.int64)
         self.glabel = np.array([1 + tab.g_index[pt] for pt in range(self.n_points)],
@@ -127,40 +103,37 @@ class ConditionEngine:
 
     def mobius_batch(self, mats: np.ndarray) -> np.ndarray:
         """Point-index permutation arrays, one row per matrix."""
-        ops = self.ops
+        add, mul, inv = self.add, self.mul, self.inv
         a = mats[:, 0:1]
         b = mats[:, 1:2]
         c = mats[:, 2:3]
         d = mats[:, 3:4]
         e = self._enc[None, :]
-        num = ops.add(ops.mul(a, e), b)
-        den = ops.add(ops.mul(c, e), d)
-        img = ops.mul(num, ops.inv[den])
+        num = add[mul[a, e], b]
+        den = add[mul[c, e], d]
+        img = mul[num, inv[den]]
         perm = np.empty((mats.shape[0], self.n_points), dtype=np.int64)
         perm[:, 1:] = np.where(den == 0, 0, img + 1)
-        perm[:, 0] = np.where(c[:, 0] == 0, 0,
-                              ops.mul(a[:, 0], ops.inv[c[:, 0]]) + 1)
+        perm[:, 0] = np.where(c[:, 0] == 0, 0, mul[a[:, 0], inv[c[:, 0]]] + 1)
         return perm
 
     def in_dihedralizer_batch(self, mats: np.ndarray) -> np.ndarray:
         """Boolean mask: h g h^-1 lands in {g, g^-1} (up to sign)."""
-        ops = self.ops
-        fq = self.gens.group.fq
+        add, mul = self.add, self.mul
         g11, g12, g21, g22 = self.gens.g
         a, b, c, d = (mats[:, i] for i in range(4))
-        minus_one = np.full(mats.shape[0], fq.neg(1), dtype=np.int64)
-        neg_b = ops.mul(minus_one, b)  # h^-1 = (d, -b, -c, a) for det 1
-        neg_c = ops.mul(minus_one, c)
+        neg_b = self.neg[b]  # h^-1 = (d, -b, -c, a) for det 1
+        neg_c = self.neg[c]
         # t = h * g
-        t11 = ops.add(ops.mul(a, g11), ops.mul(b, g21))
-        t12 = ops.add(ops.mul(a, g12), ops.mul(b, g22))
-        t21 = ops.add(ops.mul(c, g11), ops.mul(d, g21))
-        t22 = ops.add(ops.mul(c, g12), ops.mul(d, g22))
+        t11 = add[mul[a, g11], mul[b, g21]]
+        t12 = add[mul[a, g12], mul[b, g22]]
+        t21 = add[mul[c, g11], mul[d, g21]]
+        t22 = add[mul[c, g12], mul[d, g22]]
         # m = t * h^-1
-        m11 = ops.add(ops.mul(t11, d), ops.mul(t12, neg_c))
-        m12 = ops.add(ops.mul(t11, neg_b), ops.mul(t12, a))
-        m21 = ops.add(ops.mul(t21, d), ops.mul(t22, neg_c))
-        m22 = ops.add(ops.mul(t21, neg_b), ops.mul(t22, a))
+        m11 = add[mul[t11, d], mul[t12, neg_c]]
+        m12 = add[mul[t11, neg_b], mul[t12, a]]
+        m21 = add[mul[t21, d], mul[t22, neg_c]]
+        m22 = add[mul[t21, neg_b], mul[t22, a]]
         out = np.zeros(mats.shape[0], dtype=bool)
         for t in self._dihedral_targets:
             out |= (m11 == t[0]) & (m12 == t[1]) & (m21 == t[2]) & (m22 == t[3])
@@ -232,15 +205,9 @@ class ConditionEngine:
     # -- enumeration ------------------------------------------------------
 
     def _half_rows(self):
-        group = self.gens.group
-        fq = group.fq
-        q = self.q
-        if group.d_prime == 1:
-            units = list(range(1, q))
-        else:
-            units = [e for e in range(1, q) if e < fq.neg(e)]
+        units = self.gens.group._half_units()
         for c in units:
-            for d in range(q):
+            for d in range(self.q):
                 yield c, d
         for d in units:
             yield 0, d
@@ -251,20 +218,16 @@ class ConditionEngine:
         Rows are grouped by bottom row (c, d); exactly one of the pair
         {(c, d), (-c, -d)} is used, so {M, -M} is never emitted twice.
         """
-        group = self.gens.group
-        fq = group.fq
         q = self.q
         chunks = []
         size = 0
         for c, d in self._half_rows():
             if c != 0:
-                a = np.arange(q, dtype=np.int64)
-                ad = self.ops.mul(a, np.full(q, d, dtype=np.int64))
-                b = self.ops.mul(self.ops.add(ad, np.full(q, fq.neg(1), dtype=np.int64)),
-                                 np.full(q, fq.inv(c), dtype=np.int64))
+                a = self._enc
+                b = self.mul[self.add[self.mul[a, d], self.neg[1]], self.inv[c]]
             else:
-                b = np.arange(q, dtype=np.int64)
-                a = np.full(q, fq.inv(d), dtype=np.int64)
+                b = self._enc
+                a = np.full(q, self.inv[d], dtype=np.int64)
             mat = np.stack([a, b, np.full(q, c, dtype=np.int64),
                             np.full(q, d, dtype=np.int64)], axis=1)
             chunks.append(mat)

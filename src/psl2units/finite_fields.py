@@ -218,7 +218,31 @@ def _order_in_group(n: int, is_one, powfn) -> int:
     return o
 
 
-class PrimeField:
+class Field:
+    """Shared surface of the field classes; subclasses own the arithmetic."""
+
+    q: int
+
+    def elements(self):
+        return range(self.q)
+
+    def div(self, x, y):
+        return self.mul(x, self.inv(y))
+
+    def first_non_square(self):
+        for x in range(1, self.q):
+            if not self.is_square(x):
+                return x
+        raise AssertionError("no non-square in odd field")
+
+    def first_primitive(self):
+        for x in range(1, self.q):
+            if self.element_order(x) == self.q - 1:
+                return x
+        raise AssertionError("cyclic group has a generator")
+
+
+class PrimeField(Field):
     """F_l for prime l; elements are the residues 0..l-1."""
 
     def __init__(self, l: int):
@@ -226,9 +250,6 @@ class PrimeField:
         self.r = 1
         self.q = l
         self.modulus = (0,)
-
-    def elements(self):
-        return range(self.q)
 
     def add(self, x, y):
         return (x + y) % self.l
@@ -247,19 +268,10 @@ class PrimeField:
             raise ZeroElement("0 has no inverse")
         return pow(x, -1, self.l)
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def pow(self, x, e):
         if e < 0:
             return pow(self.inv(x), -e, self.l)
         return pow(x, e, self.l)
-
-    def digits(self, x):
-        return (x,)
-
-    def encode(self, digits):
-        return digits[0] % self.l
 
     def is_square(self, x):
         if self.l == 2 or x == 0:
@@ -271,20 +283,8 @@ class PrimeField:
             raise ZeroElement("order of 0 is undefined")
         return _order_in_group(self.q - 1, lambda v: v == 1, lambda e: self.pow(x, e))
 
-    def first_non_square(self):
-        for x in range(1, self.q):
-            if not self.is_square(x):
-                return x
-        raise AssertionError("no non-square in odd field")
 
-    def first_primitive(self):
-        for x in range(1, self.q):
-            if self.element_order(x) == self.q - 1:
-                return x
-        raise AssertionError("cyclic group has a generator")
-
-
-class ExtensionField:
+class ExtensionField(Field):
     """F_{l^r} for r >= 2, with exp/log (Zech) tables for O(1) arithmetic."""
 
     _ZERO_LOG = -1
@@ -351,10 +351,6 @@ class ExtensionField:
         self.zech = zech
         self.neg_table = neg
         self.inv_table = inv
-        self._pows = pows
-
-    def elements(self):
-        return range(self.q)
 
     def add(self, x, y):
         if x == 0:
@@ -384,9 +380,6 @@ class ExtensionField:
             raise ZeroElement("0 has no inverse")
         return self.inv_table[x]
 
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
     def pow(self, x, e):
         if x == 0:
             if e == 0:
@@ -395,16 +388,6 @@ class ExtensionField:
                 raise ZeroElement("0 has no inverse")
             return 0
         return self.exp[(self.log[x] * e) % (self.q - 1)]
-
-    def digits(self, x):
-        out = []
-        for _ in range(self.r):
-            out.append(x % self.l)
-            x //= self.l
-        return tuple(out)
-
-    def encode(self, digits):
-        return sum((d % self.l) * self._pows[i] for i, d in enumerate(digits))
 
     def is_square(self, x):
         if self.l == 2 or x == 0:
@@ -416,21 +399,6 @@ class ExtensionField:
             raise ZeroElement("order of 0 is undefined")
         qm1 = self.q - 1
         return qm1 // gcd(qm1, self.log[x])
-
-    def first_non_square(self):
-        for x in range(1, self.q):
-            if not self.is_square(x):
-                return x
-        raise AssertionError("no non-square in odd field")
-
-    def first_primitive(self):
-        for x in range(1, self.q):
-            if self.element_order(x) == self.q - 1:
-                return x
-        raise AssertionError("cyclic group has a generator")
-
-
-Field = PrimeField | ExtensionField
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .projective import INF, CanonicalGenerators, Element, PSL2
+from .projective import CanonicalGenerators
 
 
 def mask_of(points) -> int:
@@ -35,24 +35,12 @@ def intersect_count(m1: int, m2: int) -> int:
     return (m1 & m2).bit_count()
 
 
-def image_mask(perm: list[int], mask: int) -> int:
-    """Image of a point bitmask under a precomputed permutation array."""
-    out = 0
-    for pt in points_of(mask):
-        out |= 1 << perm[pt]
-    return out
-
-
 def image_points(perm: list[int], points) -> int:
     """Image mask of a point list under a permutation array."""
     out = 0
     for pt in points:
         out |= 1 << perm[pt]
     return out
-
-
-def image_set(group: PSL2, h: Element, mask: int) -> int:
-    return image_mask(group.perm_array(h), mask)
 
 
 @dataclass
@@ -118,8 +106,3 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
 
     return OrbitTable(gens=gens, g_orbits=g_orbits, a_orbits=a_orbits,
                       reps=reps, coords=coords, g_index=g_index)
-
-
-def decompose_point(x: int, tab: OrbitTable) -> tuple[int, int, int]:
-    """Coordinates (i, j, b) with x = a^b(z_ij)."""
-    return tab.coords[x]

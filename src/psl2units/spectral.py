@@ -107,19 +107,18 @@ def perm_matrix(group: PSL2, h: Element) -> np.ndarray:
     """0/1 matrix M with M[x, y] = 1 iff h(y) = x."""
     n = group.n_points
     out = np.zeros((n, n), dtype=np.int64)
-    for y in range(n):
-        out[group.apply(h, y), y] = 1
+    out[group.perm_array(h), np.arange(n)] = 1
     return out
 
 
 def unit_matrix(group: PSL2, w: GroupRingElement) -> np.ndarray:
     """Image of a group ring element under the permutation representation."""
     n = group.n_points
+    cols = np.arange(n)
     out = np.zeros((n, n), dtype=np.int64)
     for s, coeff in w.coeffs.items():
         assert abs(coeff) < 2 ** 40, "coefficient too large for int64 matrix"
-        for y in range(n):
-            out[group.apply(s, y), y] += coeff
+        out[group.perm_array(s), cols] += coeff
     return out
 
 

@@ -168,7 +168,7 @@ def test_search_companion_seeded(ctx13):
 
 
 def test_search_companion_exhaustive_pool(ctx13):
-    # the fallback candidate pool is G minus the dihedralizer
+    # the engine survey's candidate pool is G minus the dihedralizer
     gens, tab = ctx13
     G = gens.group
     pool = sum(not G.in_dihedralizer(h, gens.g) for h in G.enumerate_elements())
@@ -194,6 +194,40 @@ def test_engine_matches_scalar(ctx13, ctx25, ctx27):
                     companion_condition(gens, tab, h)
 
 
+def _dihedralizer(gens):
+    """D as <g> and its coset w<g>, w = (a, b, b - a t, -a) the first such
+    matrix of determinant 1; every one of them inverts g = (0, -1, 1, t)."""
+    G, fq, t = gens.group, gens.group.fq, gens.setup.t
+    w = next(m for a in fq.elements() for b in fq.elements()
+             for m in [(a, b, fq.sub(b, fq.mul(a, t)), fq.neg(a))]
+             if fq.sub(fq.mul(m[0], m[3]), fq.mul(m[1], m[2])) == 1)
+    torus = [G.power(gens.g, k) for k in range((gens.q + 1) // gens.d_prime)]
+    return torus + [G.compose(G.normalize(w), x) for x in torus]
+
+
+@pytest.mark.parametrize("l, r, p", [(2, 3, 3), (13, 1, 7), (2, 4, 17), (3, 3, 7),
+                                     (5, 3, 7)])
+def test_engine_tables_match_scalar_action(l, r, p):
+    # the table arithmetic against the field's scalar route, odd and even q
+    gens, tab = _context(l, r, p)
+    G = gens.group
+    eng = ConditionEngine(gens, tab)
+    rng = random.Random(11)
+    seeded = [G.random_element(rng) for _ in range(200)]
+    dihedral = _dihedralizer(gens)
+    assert len(set(dihedral)) == 2 * (gens.q + 1) // gens.d_prime
+    for mats, in_d in ((seeded, None), (dihedral, True)):
+        arr = np.array(mats, dtype=np.int64)
+        perm = eng.mobius_batch(arr)
+        negated = np.array([[G.fq.neg(e) for e in m] for m in mats], dtype=np.int64)
+        assert np.array_equal(eng.mobius_batch(negated), perm)  # -M acts as M
+        dmask = eng.in_dihedralizer_batch(arr)
+        for i, h in enumerate(mats):
+            assert perm[i].tolist() == G.perm_array(h)
+            assert bool(dmask[i]) == G.in_dihedralizer(h, gens.g)
+            assert in_d is None or bool(dmask[i]) == in_d
+
+
 def test_engine_enumeration_is_psl(ctx13, ctx16):
     for gens, _tab in (ctx13, ctx16):
         G = gens.group
@@ -211,10 +245,12 @@ def test_engine_survey_counts(ctx13, ctx27):
     gens, tab = ctx13
     sv = ConditionEngine(gens, tab).survey()
     assert (sv.satisfied, sv.total) == (1078, 1078)
+    assert (sv.first_h, sv.first_tries) == ((0, 1, 12, 0), 1)
     gens, tab = ctx27
     sv = ConditionEngine(gens, tab).survey()
     assert sv.total == 9828 - 28
     assert (sv.satisfied, sv.total) == (8624, 9800)
+    assert (sv.first_h, sv.first_tries) == ((1, 2, 1, 0), 2)
 
 
 def test_engine_balance_matches_scalar(ctx13, ctx25, ctx27, ctx37):

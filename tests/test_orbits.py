@@ -2,8 +2,8 @@ import random
 
 from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup, \
     make_field, FieldSetup
-from psl2units.orbits import build_orbits, decompose_point, image_set, \
-    intersect_count, mask_of, points_of
+from psl2units.orbits import build_orbits, image_points, intersect_count, \
+    mask_of, points_of
 from psl2units.projective import INF, make_generators
 
 from conftest import random_outside_dihedralizer
@@ -66,7 +66,7 @@ def test_decompose_roundtrip(ctx13, ctx27):
         G = gens.group
         seen = set()
         for x in range(G.n_points):
-            i, j, b = decompose_point(x, tab)
+            i, j, b = tab.coords[x]
             assert 0 <= b < gens.p
             assert G.apply(G.power(gens.a, b), tab.reps[i][j]) == x
             seen.add((i, j, b))
@@ -84,8 +84,8 @@ def test_a_step_increments_coordinate(ctx13):
     gens, tab = ctx13
     G = gens.group
     for x in range(G.n_points):
-        i, j, b = decompose_point(x, tab)
-        i2, j2, b2 = decompose_point(G.apply(gens.a, x), tab)
+        i, j, b = tab.coords[x]
+        i2, j2, b2 = tab.coords[G.apply(gens.a, x)]
         assert (i2, j2) == (i, j)
         assert b2 == (b + 1) % gens.p
 
@@ -102,7 +102,7 @@ def test_image_set_preserves_cardinality(ctx13):
     rng = random.Random(2)
     for _ in range(20):
         h = G.random_element(rng)
-        img = image_set(G, h, tab.masks_g[0])
+        img = image_points(G.perm_array(h), tab.g_orbits[0])
         assert img.bit_count() == len(tab.g_orbits[0])
         assert intersect_count(img, tab.masks_g[0]) \
             + intersect_count(img, tab.masks_g[1]) == (gens.q + 1) // 2
@@ -117,7 +117,7 @@ def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
             for base in (h, G.conj_pow(gens.g, h)):
-                img = [image_set(G, base, m) for m in tab.masks_g]
+                img = [image_points(G.perm_array(base), o) for o in tab.g_orbits]
                 for mask in img:
                     assert mask not in orbit_masks
                 for mover in (gens.g, gens.a):
