@@ -1,15 +1,22 @@
-"""Batched evaluation of the companion condition over many group elements.
+"""Batched evaluation of the companion condition, and exact surveys over
+the double cosets of T = <g>.
 
-Exhaustive surveys touch every element of PSL(2,q) (close to a million
-for q = 125), so the per-element work is vectorized with numpy: Moebius
-images of all points for a whole batch of matrices at once, orbit
-membership via scatter/gather, and per-a-orbit counts via segmented
-sums.  Field arithmetic is read from q x q add and mul tables and
-length-q inv and neg tables, built once per engine from the field's own
-``add``, ``mul``, ``inv`` and ``neg``, so ``finite_fields`` stays the one
-owner of the encodings.  Results are bit-identical to the scalar bitset path in
-``criteria`` (asserted in the test suite), for the orbit-sum condition
-and for the balance verdict alike.
+The condition, its two orbit sums and the balance verdict are constant on
+each double coset T h T (|T| = (q+1)/2 for odd q), and G - D splits into
+2q - 4 of them, each of |T|^2 elements.  A survey or census therefore
+scans the enumeration only until it has met every double coset, keyed by
+kappa(h) = w^|T| with w the Cayley image of h(xi) (xi the fixed point of
+g in F_{q^2}), and evaluates the 2q - 4 first-met rows, weighted by
+|T|^2.  The batch primitives are vectorized with numpy: Moebius images
+of all points for a whole batch of matrices at once, orbit membership
+via scatter/gather, and per-a-orbit counts via segmented sums.  Field
+arithmetic is read from q x q add and mul tables and length-q inv and
+neg tables, built once per engine from the field's own ``add``, ``mul``,
+``inv`` and ``neg``, so ``finite_fields`` stays the one owner of the
+encodings; F_{q^2} elements are (lo, hi) pairs over them in the basis
+of ``QuadraticExtension``.  Results are bit-identical to the scalar
+bitset path in ``criteria`` and, for surveys and censuses, to a full
+enumeration of G - D (both asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -19,24 +26,28 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BalanceFamiliesDisagree
+from .errors import BalanceFamiliesDisagree, InvariantViolated
 from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element
 
 
 @dataclass
 class Survey:
-    """Outcome of a full enumeration of G: exact satisfied count over G - D."""
+    """Exact satisfied count over G - D, summed over the <g>-double cosets.
 
-    total: int             # |G - D| candidates evaluated
+    ``first_h`` is the first satisfied element in enumeration order and
+    ``first_tries`` its position among the elements of G - D.
+    """
+
+    total: int             # |G - D|
     satisfied: int
     first_h: Optional[Element]
-    first_tries: int       # candidates evaluated up to and including first_h
+    first_tries: int       # elements of G - D up to and including first_h
 
 
 @dataclass
 class Census:
-    """Exact counts over G - D from one enumeration of G.
+    """Exact counts over G - D, summed over the <g>-double cosets.
 
     ``orbit_sum`` counts h meeting the orbit-sum condition; ``unbalanced``
     counts h with an unbalanced shift, which are exactly the h whose
@@ -98,6 +109,13 @@ class ConditionEngine:
             targets.add(tuple(neg(e) for e in ginv))
         self._dihedral_targets = [np.array(t, dtype=np.int64) for t in targets]
         self._enc = np.arange(self.q, dtype=np.int64)
+        # xi = -alpha is the root of X^2 + tX + 1 in F_{q^2}, the fixed point
+        # of g = (0, -1, 1, t); the Cayley map about xi turns <g> into
+        # multiplication by the subgroup of order (q+1)/2 of F_{q^2}*
+        fq2 = gens.setup.fq2
+        self._xi = fq2.neg(gens.setup.alpha)
+        self._xi_q = fq2.frobenius(self._xi)
+        self._mul_c = self.mul[fq2.c]
 
     # -- vectorized primitives ------------------------------------------
 
@@ -202,6 +220,72 @@ class ConditionEngine:
         differs, lhs, rhs = self._orbit_sums(in_h0, vo)
         return differs, lhs, rhs, self._unbalanced(in_h0, vo)
 
+    # -- double cosets of <g> ---------------------------------------------
+
+    def _ext_mul(self, u, v):
+        """Product in F_{q^2} (q odd, omega^2 = c) of (lo, hi) pairs of
+        encoding arrays or scalars."""
+        add, mul = self.add, self.mul
+        return (add[mul[u[0], v[0]], self._mul_c[mul[u[1], v[1]]]],
+                add[mul[u[0], v[1]], mul[u[1], v[0]]])
+
+    def _ext_sub(self, u, v):
+        return self.add[u[0], self.neg[v[0]]], self.add[u[1], self.neg[v[1]]]
+
+    def coset_keys(self, mats: np.ndarray) -> np.ndarray:
+        """kappa(h) = w^((q+1)/2), w = (h(xi) - xi)/(h(xi) - xi^q), per row.
+
+        h -> h(xi) identifies G/T with the points of P^1(F_{q^2}) off
+        P^1(F_q), and T acts on w by the subgroup of order (q+1)/2 of
+        F_{q^2}*, the kernel of x -> x^((q+1)/2); so rows share a key
+        exactly when they share a double coset T h T.  Rows must lie
+        outside D (q odd), where w is finite and nonzero.  Keys are
+        encoded as lo + q * hi.
+        """
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        a, b, c, d = (mats[:, i] for i in range(4))
+        x0, x1 = self._xi
+        num = (add[mul[a, x0], b], mul[a, x1])  # h(xi) = num / den
+        den = (add[mul[c, x0], d], mul[c, x1])
+        top = self._ext_sub(num, self._ext_mul(den, self._xi))
+        bot = self._ext_sub(num, self._ext_mul(den, self._xi_q))
+        norm = add[mul[bot[0], bot[0]], neg[self._mul_c[mul[bot[1], bot[1]]]]]
+        w = self._ext_mul(top, (bot[0], neg[bot[1]]))  # top * bot^q
+        w = (mul[w[0], inv[norm]], mul[w[1], inv[norm]])
+        e = (self.q + 1) // 2
+        key = (np.ones_like(a), np.zeros_like(a))
+        while e:
+            if e & 1:
+                key = self._ext_mul(key, w)
+            w = self._ext_mul(w, w)
+            e >>= 1
+        return key[0] + self.q * key[1]
+
+    def _representatives(self):
+        """The first row of G - D met in each of its 2q - 4 double cosets,
+        as (rows, positions) in enumeration order; stops once all are met."""
+        q = self.q
+        if q % 2 == 0:
+            raise ValueError("double-coset surveys are defined for odd q")
+        n_classes = 2 * q - 4
+        first = {}  # key -> (position in G - D, row)
+        scanned = 0
+        # the scan meets every double coset after about q^2 rows; batches
+        # are capped so that its transient arrays stay a few MB at large q
+        for mats in self._candidate_batches(min(q * q, 1 << 16)):
+            keys, idx = np.unique(self.coset_keys(mats), return_index=True)
+            for key, i in zip(keys.tolist(), idx.tolist()):
+                if key not in first:
+                    first[key] = (scanned + i, mats[i].copy())  # a view would keep the batch
+            scanned += mats.shape[0]
+            if len(first) >= n_classes:
+                break
+        if len(first) != n_classes:
+            raise InvariantViolated(f"q={q}: met {len(first)} double cosets of <g> "
+                                    f"in G - D, expected {n_classes}")
+        pos, rows = zip(*sorted(first.values(), key=lambda item: item[0]))
+        return np.array(rows, dtype=np.int64), np.array(pos)
+
     # -- enumeration ------------------------------------------------------
 
     def _half_rows(self):
@@ -238,37 +322,36 @@ class ConditionEngine:
         if chunks:
             yield np.concatenate(chunks)
 
-    def _candidate_batches(self):
+    def _candidate_batches(self, target_rows: int):
         """The batches of ``enumerate_batches`` with D filtered out."""
-        for mats in self.enumerate_batches():
+        for mats in self.enumerate_batches(target_rows):
             mats = mats[~self.in_dihedralizer_batch(mats)]
             if mats.shape[0]:
                 yield mats
 
     def survey(self) -> Survey:
-        """Evaluate the condition on every element of G outside D."""
-        total = satisfied = 0
+        """The condition on one row per double coset, weighted by |T|^2.
+
+        The first satisfied element in enumeration order is the first
+        element of its double coset, so it is a representative.
+        """
+        reps, pos = self._representatives()
+        ok, _, _ = self.condition_batch(reps)
+        weight = ((self.q + 1) // 2) ** 2
+        hits = np.flatnonzero(ok)
         first_h = None
         first_tries = 0
-        for mats in self._candidate_batches():
-            ok, _, _ = self.condition_batch(mats)
-            if first_h is None:
-                hits = np.flatnonzero(ok)
-                if hits.size:
-                    i = int(hits[0])
-                    first_h = self.gens.group.normalize(tuple(int(x) for x in mats[i]))
-                    first_tries = total + i + 1
-            total += mats.shape[0]
-            satisfied += int(ok.sum())
-        return Survey(total=total, satisfied=satisfied,
+        if hits.size:
+            i = int(hits[0])
+            first_h = self.gens.group.normalize(tuple(int(x) for x in reps[i]))
+            first_tries = int(pos[i]) + 1
+        return Survey(total=len(reps) * weight, satisfied=int(ok.sum()) * weight,
                       first_h=first_h, first_tries=first_tries)
 
     def census(self) -> Census:
-        """Orbit-sum and unbalanced counts over every element of G - D."""
-        total = orbit_sum = unbalanced = 0
-        for mats in self._candidate_batches():
-            differs, _, _, unb = self.criteria_batch(mats)
-            total += mats.shape[0]
-            orbit_sum += int(differs.sum())
-            unbalanced += int(unb.sum())
-        return Census(total=total, orbit_sum=orbit_sum, unbalanced=unbalanced)
+        """Orbit-sum and unbalanced counts over G - D, one row per double coset."""
+        reps, _ = self._representatives()
+        differs, _, _, unb = self.criteria_batch(reps)
+        weight = ((self.q + 1) // 2) ** 2
+        return Census(total=len(reps) * weight, orbit_sum=int(differs.sum()) * weight,
+                      unbalanced=int(unb.sum()) * weight)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvariantViolated
 from .projective import CanonicalGenerators
 
 
@@ -80,9 +81,11 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
             orbit.append(x)
             g_index[x] = i
             x = perm_g[x]
-        assert x == start, "g-orbit length mismatch"
+        if x != start:
+            raise InvariantViolated(f"q={q}: g-orbit through {start} is not of length {orbit_len}")
         g_orbits.append(orbit)
-    assert len(g_orbits) == d_prime
+    if len(g_orbits) != d_prime:
+        raise InvariantViolated(f"q={q}: g has {len(g_orbits)} orbits, expected {d_prime}")
 
     a_orbits: list[list[list[int]]] = []
     reps: list[list[int]] = []
@@ -102,7 +105,8 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
             row_reps.append(z)
         a_orbits.append(row_orbits)
         reps.append(row_reps)
-    assert all(c[0] >= 0 for c in coords)
+    if any(c[0] < 0 for c in coords):
+        raise InvariantViolated(f"q={q}: some point has no a-orbit coordinates")
 
     return OrbitTable(gens=gens, g_orbits=g_orbits, a_orbits=a_orbits,
                       reps=reps, coords=coords, g_index=g_index)

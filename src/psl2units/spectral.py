@@ -206,10 +206,14 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         for i in range(half + 1):
             for j in range(i + 1, half + 1):
                 gap = abs(values[i] - values[j]) / max(values[i], values[j])
-                assert gap > 1e-6, f"magnitude collision at b={i},{j}"
+                if not gap > 1e-6:
+                    raise InvariantViolated(f"p={p}, k={k}, m={m}: magnitude collision "
+                                            f"at b={i},{j}")
         b_plus = max(range(1, half + 1), key=lambda b: values[b])
         b_minus = min(range(1, half + 1), key=lambda b: values[b])
-        assert values[b_plus] > 1 > values[b_minus]  # extremes away from b = 0
+        if not values[b_plus] > 1 > values[b_minus]:
+            raise InvariantViolated(f"p={p}, k={k}, m={m}: an extreme magnitude "
+                                    "is attained at b = 0")
     return EigenData(p=p, k=k, m=m, values=values, b_plus=b_plus, b_minus=b_minus)
 
 

@@ -19,7 +19,8 @@ from psl2units.spectral import (
     nilpotent_part, numeric_oracle, paired_companion, recipe_element,
     sigma_companion,
 )
-from psl2units.sweep import admissible_primes, check_single, run_sweep
+from psl2units.sweep import admissible_primes, check_single, odd_prime_powers, \
+    run_sweep
 
 from conftest import _context, random_outside_dihedralizer
 
@@ -40,7 +41,17 @@ def test_criterion_1_sweep_reproduction(tmp_path):
                     f"on 7 <= q <= 1999 (samples=200, fallback on)")
 
 
-@pytest.mark.parametrize("q,p", [(13, 7), (25, 13), (37, 19), (61, 31)])
+# every pair with q + 1 = 2p and q < 400, the family the paper proves
+_TWO_P_PAIRS = [(13, 7), (25, 13), (37, 19), (61, 31), (73, 37), (81, 41), (121, 61),
+                (157, 79), (193, 97), (277, 139), (313, 157), (361, 181), (397, 199)]
+
+
+def test_two_p_pairs_are_every_such_pair_below_400():
+    assert _TWO_P_PAIRS == [(pp.q, (pp.q + 1) // 2) for pp in odd_prime_powers(7, 399)
+                            if (pp.q + 1) // 2 in admissible_primes(pp.q)]
+
+
+@pytest.mark.parametrize("q,p", _TWO_P_PAIRS)
 def test_criterion_2_two_p_exactness(q, p):
     rec = check_single(q, p, exhaustive=True)
     num, den = rec.fraction

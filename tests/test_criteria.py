@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psl2units.criteria import (
     balance_table, companion_condition, criterion_report, intersection_counts,
     search_companion,
 )
 from psl2units.engine import ConditionEngine
-from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer
+from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 from psl2units.orbits import image_points, intersect_count
 
 from conftest import _context, random_outside_dihedralizer
@@ -283,3 +284,109 @@ def test_engine_census_q27(ctx27):
     census = ConditionEngine(*ctx27).census()
     assert (census.orbit_sum, census.unbalanced, census.total) == \
         (8624, 9408, 9800)
+
+
+# -- double-coset surveys against full enumeration ---------------------------
+
+
+def _outside_d(eng):
+    """Every element of G - D, in enumeration order, as one array."""
+    mats = np.concatenate(list(eng.enumerate_batches()))
+    return mats[~eng.in_dihedralizer_batch(mats)]
+
+
+def _brute_survey(eng):
+    """(total, satisfied, first_h, first_tries) with every h in G - D evaluated."""
+    mats = _outside_d(eng)
+    ok, _, _ = eng.condition_batch(mats)
+    hits = np.flatnonzero(ok)
+    first = eng.gens.group.normalize(tuple(int(x) for x in mats[hits[0]])) \
+        if hits.size else None
+    return mats.shape[0], int(ok.sum()), first, int(hits[0]) + 1 if hits.size else 0
+
+
+def _brute_census(eng):
+    """(total, orbit_sum, unbalanced) with every h in G - D evaluated."""
+    mats = _outside_d(eng)
+    differs, _, _, unbalanced = eng.criteria_batch(mats)
+    return mats.shape[0], int(differs.sum()), int(unbalanced.sum())
+
+
+@pytest.mark.parametrize("l, r, p", [(13, 1, 7), (5, 2, 13), (3, 3, 7), (37, 1, 19),
+                                     (41, 1, 7)])
+def test_double_coset_survey_matches_full_enumeration(l, r, p, monkeypatch):
+    eng = ConditionEngine(*_context(l, r, p))
+    want_survey, want_census = _brute_survey(eng), _brute_census(eng)
+    evaluated = []
+    for name in ("condition_batch", "criteria_batch"):
+        method = getattr(eng, name)
+        monkeypatch.setattr(eng, name,
+                            lambda mats, method=method: evaluated.append(len(mats))
+                            or method(mats))
+    sv = eng.survey()
+    census = eng.census()
+    assert (sv.total, sv.satisfied, sv.first_h, sv.first_tries) == want_survey
+    assert (census.total, census.orbit_sum, census.unbalanced) == want_census
+    assert evaluated == [2 * eng.q - 4] * 2
+
+
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx27"])
+def test_coset_keys_are_the_double_cosets(ctx, request):
+    # 2q - 4 key classes of |<g>|^2 elements each, every verdict constant
+    # on a class
+    eng = ConditionEngine(*request.getfixturevalue(ctx))
+    mats = _outside_d(eng)
+    keys = eng.coset_keys(mats)
+    classes, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    assert len(classes) == 2 * eng.q - 4
+    assert set(sizes.tolist()) == {((eng.q + 1) // 2) ** 2}
+    columns = np.stack([col.astype(np.int64) for col in eng.criteria_batch(mats)], axis=1)
+    for k in range(len(classes)):
+        assert len(np.unique(columns[inverse == k], axis=0)) == 1
+
+
+def test_short_scan_raises(ctx27, monkeypatch):
+    eng = ConditionEngine(*ctx27)
+    first = next(eng._candidate_batches(eng.q * eng.q))
+    monkeypatch.setattr(eng, "_candidate_batches", lambda rows: iter([first[:100]]))
+    with pytest.raises(InvariantViolated, match="double cosets"):
+        eng.survey()
+    with pytest.raises(InvariantViolated, match="double cosets"):
+        eng.census()
+
+
+def test_double_coset_survey_rejects_even_q(ctx16):
+    eng = ConditionEngine(*ctx16)
+    with pytest.raises(ValueError, match="odd q"):
+        eng.survey()
+    with pytest.raises(ValueError, match="odd q"):
+        eng.census()
+
+
+_PROPERTY_PAIRS = {13: (13, 1, 7), 25: (5, 2, 13), 27: (3, 3, 7), 37: (37, 1, 19)}
+_ENGINES = {}
+
+
+def _engine(q):
+    if q not in _ENGINES:
+        _ENGINES[q] = ConditionEngine(*_context(*_PROPERTY_PAIRS[q]))
+    return _ENGINES[q]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(sorted(_PROPERTY_PAIRS)), seed=st.integers(0, 2 ** 32),
+       i=st.integers(0, 18), j=st.integers(0, 18))
+def test_verdicts_constant_on_double_cosets(q, seed, i, j):
+    # criteria_batch and the coset key of c h c' equal those of h for
+    # h outside D and c, c' in <g>
+    eng = _engine(q)
+    gens = eng.gens
+    G = gens.group
+    h = random_outside_dihedralizer(gens, random.Random(seed))
+    order = (q + 1) // 2
+    moved = G.compose(G.compose(G.power(gens.g, i % order), h), G.power(gens.g, j % order))
+    rows = np.array([h, moved], dtype=np.int64)
+    verdicts = [col.tolist() for col in eng.criteria_batch(rows)]
+    assert all(col[0] == col[1] for col in verdicts)
+    keys = eng.coset_keys(rows)
+    assert keys[0] == keys[1]

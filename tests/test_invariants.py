@@ -15,6 +15,7 @@ from psl2units import spectral
 from psl2units.criteria import _assert_count_invariants, intersection_counts
 from psl2units.errors import InvariantViolated
 from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 
 from conftest import random_outside_dihedralizer
@@ -51,6 +52,25 @@ def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 
+def test_orbits_of_a_wrong_g_are_rejected(ctx13):
+    # sigma has order 6, so its orbit through the point 1 does not close
+    # after p * d = 7 steps
+    gens, _ = ctx13
+    with pytest.raises(InvariantViolated, match="g-orbit through 2 is not of length 7"):
+        build_orbits(dataclasses.replace(gens, g=gens.sigma))
+
+
+def test_eigen_data_rejects_collisions_and_misplaced_extremes(monkeypatch):
+    import mpmath
+    assert spectral.eigen_data(7, 2, 21).values[0] == 1
+    monkeypatch.setattr(mpmath, "sin", lambda x: mpmath.mpf(1))  # every magnitude 1
+    with pytest.raises(InvariantViolated, match="magnitude collision at b=0,1"):
+        spectral.eigen_data(7, 2, 21)
+    monkeypatch.setattr(mpmath, "sin", lambda x: x + 10)  # every magnitude above 1
+    with pytest.raises(InvariantViolated, match="extreme magnitude"):
+        spectral.eigen_data(7, 2, 21)
+
+
 def test_invariant_checks_survive_python_O():
     code = """
 import dataclasses
@@ -70,9 +90,35 @@ except InvariantViolated:
     assert proc.stdout.strip() == "rejected"
 
 
+def test_orbit_checks_survive_python_O():
+    code = """
+import dataclasses
+from psl2units.errors import InvariantViolated
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+assert False  # stripped under -O; fails the run otherwise
+gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
+try:
+    build_orbits(dataclasses.replace(gens, g=gens.sigma))
+except InvariantViolated:
+    print("rejected")
+"""
+    assert _run(code).returncode != 0
+    proc = _run(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
+
+
 def test_import_loads_neither_mpmath_nor_process_pool():
     # a sweep needs neither; mpmath alone costs about 4 MB of RSS at import
     proc = _run("import sys, psl2units; "
                 "print(sorted(m for m in ('mpmath', 'concurrent.futures') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    # the package no longer re-exports, so the spectral layer loads without
+    # the sweep and its hashlib (OpenSSL, about 3.6 MB of RSS) and logging
+    proc = _run("import sys, psl2units.spectral; print(sorted(m for m in "
+                "('psl2units.sweep', 'hashlib', 'logging', 'mpmath') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
