@@ -3,7 +3,8 @@
 Subcommands: ``sweep`` reproduces the full parameter sweep, ``check``
 runs one (q, p) pair, ``classify`` reports the critical-element verdict,
 ``spectral`` certifies the four-intersection hypotheses for a given h.
-Exit code 0 means no possible counterexample was seen.
+Exit code 0 means no possible counterexample was seen; bad input exits
+with code 2 and an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import logging
 import sys
 
 from .classify import dpc_verdict
-from .errors import HInDihedralizer, InadmissiblePair
 from .finite_fields import PrimePower, build_setup
 from .orbits import build_orbits
 from .projective import make_generators
@@ -31,8 +31,7 @@ def _cmd_sweep(args) -> int:
     summary = run_sweep(
         q_min=args.q_min, q_max=args.q_max, samples=args.samples,
         seed=args.seed, jobs=args.jobs, out_path=args.out,
-        resume=args.resume, exhaustive_fallback=args.exhaustive_fallback,
-        progress=progress if not args.quiet else None,
+        resume=args.resume, progress=progress if not args.quiet else None,
     )
     print(f"{summary.satisfied}/{summary.pairs} pairs satisfied "
           f"-> {summary.out_path}")
@@ -43,12 +42,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        rec = check_single(args.q, args.p, exhaustive=args.exhaustive,
-                           samples=args.samples, seed=args.seed)
-    except InadmissiblePair as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rec = check_single(args.q, args.p, exhaustive=args.exhaustive,
+                       samples=args.samples, seed=args.seed)
     print(rec.to_json_line())
     return 0 if rec.satisfied else 1
 
@@ -65,24 +60,15 @@ def _cmd_classify(args) -> int:
 def _cmd_spectral(args) -> int:
     try:
         encodings = [int(x) for x in args.h.split(",")]
-        if len(encodings) != 4:
-            raise ValueError("need four comma-separated encodings")
     except ValueError as exc:
-        print(f"error: bad --h: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad --h: {exc}") from None
+    if len(encodings) != 4:
+        raise ValueError("bad --h: need four comma-separated encodings")
     setup = build_setup(PrimePower.from_q(args.q))
     gens = make_generators(setup, args.p)
-    try:
-        h = gens.group.make(*encodings)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    h = gens.group.make(*encodings)
     tab = build_orbits(gens)
-    try:
-        cert = exact_certificate(gens, tab, h, args.k, args.m)
-    except HInDihedralizer as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cert = exact_certificate(gens, tab, h, args.k, args.m)
     out = cert.as_dict()
     if args.numeric:
         oracle = numeric_oracle(gens, tab, h, args.k, args.m)
@@ -106,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", default="sweep.jsonl")
     sw.add_argument("--resume", action="store_true")
-    sw.add_argument("--exhaustive-fallback", action="store_true")
     sw.add_argument("--quiet", action="store_true")
     sw.set_defaults(func=_cmd_sweep)
 
@@ -141,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # the base of every input error the commands raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,16 +8,15 @@ intersections are trivial.  Everything decisive is computed in exact
 integer arithmetic: a linear combination of p-th roots of unity
 vanishes iff its coefficient sequence is constant, so every kernel or
 orthogonality test reduces to constancy of integer sequences
-(CycloCoefficients).  Floating point appears only in the eigenvalue
+(``vanishes``).  Floating point appears only in the eigenvalue
 magnitudes, where only the ordering matters and the gaps are large, and
 in the independent dense oracle used to cross-check the exact verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -31,72 +30,10 @@ from .projective import INF, CanonicalGenerators, Element, PSL2
 # Exact cyclotomic arithmetic
 
 
-class CycloCoefficients:
-    """Integer sequence (c_0, ..., c_{p-1}) standing for sum c_b zeta^b.
-
-    For prime p the minimal polynomial of zeta is 1 + X + ... + X^(p-1),
-    so the represented number is 0 iff all coefficients coincide.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = tuple(int(x) for x in c)
-
-    @property
-    def p(self) -> int:
-        return len(self.c)
-
-    @classmethod
-    def zero(cls, p: int) -> "CycloCoefficients":
-        return cls((0,) * p)
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "CycloCoefficients":
-        return cls((n,) + (0,) * (p - 1))
-
-    @classmethod
-    def root_power(cls, p: int, e: int, scale: int = 1) -> "CycloCoefficients":
-        c = [0] * p
-        c[e % p] = scale
-        return cls(c)
-
-    def is_zero(self) -> bool:
-        return len(set(self.c)) == 1
-
-    def __add__(self, other):
-        return CycloCoefficients(a + b for a, b in zip(self.c, other.c))
-
-    def __sub__(self, other):
-        return CycloCoefficients(a - b for a, b in zip(self.c, other.c))
-
-    def __neg__(self):
-        return CycloCoefficients(-a for a in self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloCoefficients(a * other for a in self.c)
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    out[(i + j) % p] += a * b
-        return CycloCoefficients(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CycloCoefficients.from_int(self.p, other)
-        return isinstance(other, CycloCoefficients) and (self - other).is_zero()
-
-    def __hash__(self):
-        base = self.c[0]
-        return hash(tuple(x - base for x in self.c))
-
-    def __repr__(self):
-        return f"CycloCoefficients({self.c})"
+def vanishes(c) -> bool:
+    """True iff sum_b c_b zeta^b = 0, zeta a primitive p-th root of unity,
+    p = len(c) prime: the integer sequence c is constant."""
+    return len(set(c)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +174,17 @@ def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple
         ix, jx, bx = coords[x]
         for y in range(n):
             iy, jy, by = coords[y]
-            same = (ix, jx) == (iy, jy)
             prod = [0] * p
             diag = [0] * p
-            if same:
+            if (ix, jx) == (iy, jy):
                 for bu in range(p):
                     prod[((by - bx) * bu) % p] += 1
                     diag[(bx * (bu + 1) - bu * by) % p] += 1
-            got_prod = CycloCoefficients(prod)
-            got_diag = CycloCoefficients(diag)
-            if x == y:
-                unitary_ok &= got_prod == CycloCoefficients.from_int(p, p)
-                diagonal_ok &= got_diag == CycloCoefficients.root_power(p, bx, p)
-            else:
-                unitary_ok &= got_prod.is_zero() if same else got_prod == 0
-                diagonal_ok &= got_diag.is_zero() if same else got_diag == 0
+            if x == y:  # subtract the expected p and p zeta^bx
+                prod[0] -= p
+                diag[bx % p] -= p
+            unitary_ok &= vanishes(prod)
+            diagonal_ok &= vanishes(diag)
     return unitary_ok, diagonal_ok
 
 
@@ -260,7 +193,7 @@ def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple
 
 
 def projection_coeffs(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
-                      w, phi) -> CycloCoefficients:
+                      w, phi) -> tuple[int, ...]:
     """Coefficient sequence c with phi(pi_b0(w)) = (1/p) sum_b c_b zeta^(b b0).
 
     c_b applies phi to x -> w[h a^b h^-1 (x)] + w[h a^-b h^-1 (x)]; the
@@ -284,7 +217,7 @@ def projection_coeffs(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
         fwd = conj[b]
         bwd = conj[(p - b) % p]
         c.append(sum(phi[x] * (w[fwd[x]] + w[bwd[x]]) for x in range(n)))
-    return CycloCoefficients(c)
+    return tuple(c)
 
 
 def _odd_vectors(gens: CanonicalGenerators, tab: OrbitTable, h: Element):
@@ -349,16 +282,7 @@ class ExactCertificate:
     ok: bool
 
     def as_dict(self):
-        return {
-            "q": self.q, "p": self.p, "k": self.k, "m": self.m,
-            "parity": self.parity, "h": list(self.h),
-            "b_plus": self.b_plus, "b_minus": self.b_minus,
-            "tau_rank": self.tau_rank,
-            "eigenspaces_escape": self.eigenspaces_escape,
-            "image_meets": self.image_meets,
-            "projections_escape": self.projections_escape,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "h": list(self.h)}
 
 
 def _profiles(gens: CanonicalGenerators, tab: OrbitTable, h: Element, vec):
@@ -371,6 +295,19 @@ def _profiles(gens: CanonicalGenerators, tab: OrbitTable, h: Element, vec):
     return out
 
 
+def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int):
+    """Parity of q, eigen data of the Bass unit and the dense displacement
+    tau of the candidate that the certificates pair with it."""
+    group = gens.group
+    parity = "even" if gens.q % 2 == 0 else "odd"
+    ed = eigen_data(gens.p, k, m)
+    if parity == "even":
+        return parity, ed, nilpotent_part(group, sigma_companion(gens))
+    if group.in_dihedralizer(h, gens.g):
+        raise HInDihedralizer("h normalizes <g>")
+    return parity, ed, nilpotent_part(group, paired_companion(gens, h))
+
+
 def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
                       k: int, m: int) -> ExactCertificate:
     """Exact verdict on the four-intersection hypotheses for (u_h, candidate).
@@ -381,19 +318,8 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     recomputed, never assumed; the contingent condition is whether the
     extreme projections of the image vector escape the kernel hyperplane.
     """
-    group = gens.group
-    q = gens.q
-    parity = "even" if q % 2 == 0 else "odd"
-    ed = eigen_data(gens.p, k, m)
-
-    if parity == "odd":
-        if group.in_dihedralizer(h, gens.g):
-            raise HInDihedralizer("h normalizes <g>")
-        tau = nilpotent_part(group, paired_companion(gens, h))
-        psi, phi = _odd_vectors(gens, tab, h)
-    else:
-        tau = nilpotent_part(group, sigma_companion(gens))
-        psi, phi = _even_vectors(gens)
+    parity, ed, tau = _displacement(gens, h, k, m)
+    psi, phi = _odd_vectors(gens, tab, h) if parity == "odd" else _even_vectors(gens)
 
     if (tau @ tau).any():
         raise InvariantViolated("displacement must square to zero")
@@ -414,11 +340,10 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     escapes = any(len(set(prof)) > 1 for prof in phi_profiles)
     meets = any(len(set(prof)) > 1 for prof in psi_profiles)
 
-    c = projection_coeffs(gens, tab, h, psi, phi)
-    projections_escape = not c.is_zero()
+    projections_escape = not vanishes(projection_coeffs(gens, tab, h, psi, phi))
 
     return ExactCertificate(
-        q=q, p=gens.p, k=k, m=m, parity=parity, h=h,
+        q=gens.q, p=gens.p, k=k, m=m, parity=parity, h=h,
         b_plus=ed.b_plus, b_minus=ed.b_minus, tau_rank=rank,
         eigenspaces_escape=escapes, image_meets=meets,
         projections_escape=projections_escape,
@@ -426,34 +351,15 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     )
 
 
-def recipe_element(gens: CanonicalGenerators, x0: int, negated: bool = False) -> Element:
-    """The even-q element sending (x0, a(x0), a^2(x0)) to (0, 1/t, beta^2/t).
-
-    With ``negated`` the targets are replaced by their negatives (a no-op
-    in characteristic 2, kept for bookkeeping symmetry).
-    """
+def recipe_element(gens: CanonicalGenerators, x0: int) -> Element:
+    """The even-q element sending (x0, a(x0), a^2(x0)) to (0, 1/t, beta^2/t)."""
     group = gens.group
     fq = group.fq
     t_inv = fq.inv(gens.setup.t)
     b2t = fq.mul(fq.mul(gens.setup.beta, gens.setup.beta), t_inv)
-    y0, y1, y2 = 0, t_inv, b2t
-    if negated:
-        y0, y1, y2 = fq.neg(y0), fq.neg(y1), fq.neg(y2)
     x1 = group.apply(gens.a, x0)
     x2 = group.apply(gens.a, x1)
-    return group.three_point_map(x0, x1, x2, y0 + 1, y1 + 1, y2 + 1)
-
-
-def certified_recipe(gens: CanonicalGenerators, tab: OrbitTable, x0: int,
-                     k: int, m: int) -> tuple[ExactCertificate, str]:
-    """Build the recipe element and certify it; on failure retry with the
-    negated targets and report which variant succeeded."""
-    h = recipe_element(gens, x0)
-    cert = exact_certificate(gens, tab, h, k, m)
-    if cert.ok:
-        return cert, "as_printed"
-    h = recipe_element(gens, x0, negated=True)
-    return exact_certificate(gens, tab, h, k, m), "negated"
+    return group.three_point_map(x0, x1, x2, 0 + 1, t_inv + 1, b2t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +383,7 @@ class NumericCertificate:
     ok: bool
 
     def as_dict(self):
-        return {
-            "q": self.q, "p": self.p, "k": self.k, "m": self.m,
-            "parity": self.parity, "b_plus": self.b_plus, "b_minus": self.b_minus,
-            "dims": self.dims,
-            "plus_kernel_trivial": self.plus_kernel_trivial,
-            "minus_kernel_trivial": self.minus_kernel_trivial,
-            "image_avoids_plus": self.image_avoids_plus,
-            "image_avoids_minus": self.image_avoids_minus,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def _orth(cols: np.ndarray, tol: float) -> np.ndarray:
@@ -545,17 +442,10 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     q = gens.q
     if q > 200:
         raise DimensionTooLarge(f"q={q} exceeds the dense oracle bound 200")
-    parity = "even" if q % 2 == 0 else "odd"
+    parity, ed, tau = _displacement(gens, h, k, m)
+    tau = tau.astype(complex)
     p = gens.p
-    ed = eigen_data(p, k, m)
     n = group.n_points
-
-    if parity == "odd":
-        if group.in_dihedralizer(h, gens.g):
-            raise HInDihedralizer("h normalizes <g>")
-        tau = nilpotent_part(group, paired_companion(gens, h)).astype(complex)
-    else:
-        tau = nilpotent_part(group, sigma_companion(gens)).astype(complex)
 
     perm_h = group.perm_array(h)
     zeta = np.exp(-2j * np.pi / p)

@@ -17,11 +17,10 @@ import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .classify import ORDER_CONDITION, dpc_predicate
+from .classify import dpc_predicate
 from .criteria import search_companion
 from .engine import ConditionEngine
 from .errors import InadmissiblePair
@@ -49,12 +48,6 @@ class SweepRecord:
     fraction: Optional[tuple[int, int]]  # unreduced (satisfied, total)
     elapsed_ms: int
     mode: str
-
-    @property
-    def fraction_value(self) -> Optional[Fraction]:
-        if self.fraction is None:
-            return None
-        return Fraction(*self.fraction)
 
     def to_json_dict(self) -> dict:
         out = {"q": self.q, "l": self.l, "r": self.r, "p": self.p, "d": self.d,
@@ -89,8 +82,9 @@ class SweepRecord:
 
 
 def admissible_primes(q: int) -> list[int]:
-    """Prime divisors of q + 1 exceeding 5, in increasing order."""
-    return sorted(p for p in factorize(q + 1) if p > 5)
+    """Prime divisors p > 5 of q + 1 for which PSL(2,q) has a dihedral
+    p-critical element, in increasing order."""
+    return sorted(p for p in factorize(q + 1) if p > 5 and dpc_predicate(q, p).predicate)
 
 
 def odd_prime_powers(lo: int, hi: int):
@@ -108,15 +102,10 @@ def task_seed(seed: int, q: int, p: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def evaluate_pair(q: int, p: int, samples: int, seed: int, exhaustive: bool,
-                  exhaustive_fallback: bool = False) -> SweepRecord:
+def evaluate_pair(q: int, p: int, samples: int, seed: int, exhaustive: bool) -> SweepRecord:
     """Run the witness search for one admissible pair and build its record."""
     started = time.monotonic()
     pp = PrimePower.from_q(q)
-    verdict = dpc_predicate(q, p)
-    if verdict.reason != ORDER_CONDITION:
-        log.warning("(q=%d, p=%d): swept pair is not an order-condition pair (%s)",
-                    q, p, verdict.reason)
     setup = build_setup(pp)
     gens = make_generators(setup, p)
     tab = build_orbits(gens)
@@ -124,7 +113,6 @@ def evaluate_pair(q: int, p: int, samples: int, seed: int, exhaustive: bool,
     h = None
     tries = 0
     fraction = None
-    mode = EXHAUSTIVE if exhaustive else SAMPLED
     if exhaustive:
         survey = ConditionEngine(gens, tab).survey()
         h = survey.first_h
@@ -134,18 +122,12 @@ def evaluate_pair(q: int, p: int, samples: int, seed: int, exhaustive: bool,
         rng = random.Random(task_seed(seed, q, p))
         result = search_companion(gens, tab, rng, max_tries=samples)
         h, tries = result.h, result.tries
-        if h is None and exhaustive_fallback:
-            survey = ConditionEngine(gens, tab).survey()
-            h = survey.first_h
-            tries += survey.total
-            fraction = (survey.satisfied, survey.total)
-            mode = EXHAUSTIVE
     elapsed_ms = int((time.monotonic() - started) * 1000)
     return SweepRecord(
         q=q, l=pp.l, r=pp.r, p=p, d=gens.d, t_encoding=setup.t,
         h=list(h) if h is not None else None, tries=tries,
         satisfied=h is not None, fraction=fraction,
-        elapsed_ms=elapsed_ms, mode=mode,
+        elapsed_ms=elapsed_ms, mode=EXHAUSTIVE if exhaustive else SAMPLED,
     )
 
 
@@ -164,6 +146,9 @@ def check_single(q: int, p: int, exhaustive: bool = False, samples: int = 200,
         raise InadmissiblePair(q, p, "p <= 5")
     if (q + 1) % p != 0:
         raise InadmissiblePair(q, p, "p does not divide q+1")
+    if not dpc_predicate(q, p).predicate:
+        raise InadmissiblePair(q, p, "no dihedral p-critical element: "
+                                     "the order of l mod p is not 2r")
     return evaluate_pair(q, p, samples=samples, seed=seed if seed is not None else 0,
                          exhaustive=exhaustive)
 
@@ -176,16 +161,25 @@ def _journal_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".journal")
 
 
+def _journal_line(key: tuple[int, int], digest: str) -> str:
+    return json.dumps({"q": key[0], "p": key[1], "digest": digest}) + "\n"
+
+
+def _json_lines(path: Path):
+    """(line, decoded) for each line of path that decodes; a line torn by an
+    interrupted write does not, and is dropped so that its pair runs again."""
+    if not path.exists():
+        return
+    for line in path.read_text().splitlines():
+        try:
+            yield line, json.loads(line)
+        except json.JSONDecodeError:
+            continue
+
+
 def _load_journal(out_path: Path) -> dict[tuple[int, int], str]:
-    path = _journal_path(out_path)
-    done: dict[tuple[int, int], str] = {}
-    if path.exists():
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            done[(entry["q"], entry["p"])] = entry["digest"]
-    return done
+    return {(entry["q"], entry["p"]): entry["digest"]
+            for _, entry in _json_lines(_journal_path(out_path))}
 
 
 def _compact_output(out_path: Path,
@@ -193,15 +187,11 @@ def _compact_output(out_path: Path,
     """Keep exactly one record per journaled key whose digest matches its
     journal entry, dropping orphans and altered lines."""
     kept: dict[tuple[int, int], str] = {}
-    if out_path.exists():
-        for line in out_path.read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            key = (rec["q"], rec["p"])
-            if key in done and key not in kept \
-                    and SweepRecord.from_json_dict(rec).digest() == done[key]:
-                kept[key] = line
+    for line, rec in _json_lines(out_path):
+        key = (rec["q"], rec["p"])
+        if key in done and key not in kept \
+                and SweepRecord.from_json_dict(rec).digest() == done[key]:
+            kept[key] = line
     return kept
 
 
@@ -218,16 +208,14 @@ class SweepSummary:
 
 
 def _run_task(args) -> tuple[tuple[int, int], SweepRecord]:
-    q, p, samples, seed, exhaustive_fallback = args
-    rec = evaluate_pair(q, p, samples=samples, seed=seed, exhaustive=False,
-                        exhaustive_fallback=exhaustive_fallback)
+    q, p, samples, seed = args
+    rec = evaluate_pair(q, p, samples=samples, seed=seed, exhaustive=False)
     return (q, p), rec
 
 
 def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
               jobs: int = 1, out_path: str | Path = "sweep.jsonl",
-              resume: bool = False, exhaustive_fallback: bool = False,
-              progress=None) -> SweepSummary:
+              resume: bool = False, progress=None) -> SweepSummary:
     """Sweep all admissible pairs in [q_min, q_max] and write JSON lines.
 
     Records are emitted in canonical (q, p) order regardless of worker
@@ -237,13 +225,18 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]
-    kept = _compact_output(out_path, _load_journal(out_path)) if resume else {}
-    # a journaled pair whose line is missing or altered is run again
-    pending = [key for key in pairs if key not in kept]
-
     journal = _journal_path(out_path)
-    if not resume:
+    if resume:
+        done = _load_journal(out_path)
+        # a journaled pair whose line is missing, altered or torn is run again
+        kept = _compact_output(out_path, done)
+        # the journal keeps exactly the kept pairs, so that no torn last line
+        # swallows the first entry appended after it
+        journal.write_text("".join(_journal_line(key, done[key]) for key in kept))
+    else:
+        kept = {}
         journal.unlink(missing_ok=True)
+    pending = [key for key in pairs if key not in kept]
     counterexamples = []
     satisfied = 0
 
@@ -258,7 +251,7 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
         def emit(key, rec: SweepRecord):
             out.write(rec.to_json_line() + "\n")
             out.flush()
-            jn.write(json.dumps({"q": key[0], "p": key[1], "digest": rec.digest()}) + "\n")
+            jn.write(_journal_line(key, rec.digest()))
             jn.flush()
             tally(key, rec.satisfied)
             if not rec.satisfied:
@@ -266,7 +259,7 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
             if progress:
                 progress(key, rec)
 
-        task_args = [(q, p, samples, seed, exhaustive_fallback) for q, p in pending]
+        task_args = [(q, p, samples, seed) for q, p in pending]
         if jobs <= 1:
             results = map(_run_task, task_args)
         else:

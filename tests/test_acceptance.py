@@ -9,7 +9,7 @@ import random
 import mpmath
 import pytest
 
-from psl2units.classify import dpc_verdict
+from psl2units.classify import dpc_verdict, multiplicative_order
 from psl2units.engine import ConditionEngine
 from psl2units.finite_fields import PrimePower, factorize, make_field
 from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
@@ -33,12 +33,11 @@ def _verdict(criterion, ok, detail):
 
 def test_criterion_1_sweep_reproduction(tmp_path):
     summary = run_sweep(q_min=7, q_max=1999, samples=200, seed=1, jobs=8,
-                        out_path=tmp_path / "sweep.jsonl",
-                        exhaustive_fallback=True)
+                        out_path=tmp_path / "sweep.jsonl")
     ok = summary.all_satisfied
     assert _verdict(1, ok,
                     f"{summary.satisfied}/{summary.pairs} pairs satisfied "
-                    f"on 7 <= q <= 1999 (samples=200, fallback on)")
+                    f"on 7 <= q <= 1999 (samples=200)")
 
 
 # every pair with q + 1 = 2p and q < 400, the family the paper proves
@@ -57,6 +56,36 @@ def test_criterion_2_two_p_exactness(q, p):
     num, den = rec.fraction
     ok = num == den
     assert _verdict(2, ok, f"(q={q}, p={p}) exhaustive fraction {num}/{den}")
+
+
+def _recipe_certified(q, p, x0s):
+    """Exact certificates of the even-q recipe elements at the base points
+    x0s, with k = 2 and m = p * ord_p(2)."""
+    pp = PrimePower.from_q(q)
+    gens, tab = _context(pp.l, pp.r, p)
+    m = p * multiplicative_order(2, p)
+    return {x0: exact_certificate(gens, tab, recipe_element(gens, x0), 2, m).ok
+            for x0 in x0s}
+
+
+def test_proven_family_p_equals_5():
+    # PSL(2,4) = PSL(2,5): the recipe is certified from every base point
+    certified = _recipe_certified(4, 5, range(5))
+    assert _verdict("p=5 family", all(certified.values()),
+                    f"(q=4, p=5): recipe certified at x0 in {sorted(certified)}")
+
+
+# the pairs with q even, q < 512 and p > 5 that pass the predicate; q = 256
+# runs one base point only, to keep the suite's cost down
+_EVEN_RECIPES = [(16, 17, (0, 1, 2)), (32, 11, (0, 1, 2)), (64, 13, (0, 1, 2)),
+                 (128, 43, (0, 1, 2)), (256, 257, (0,))]
+
+
+@pytest.mark.parametrize("q,p,x0s", _EVEN_RECIPES, ids=[f"{q}-{p}" for q, p, _ in _EVEN_RECIPES])
+def test_proven_family_q_even(q, p, x0s):
+    certified = _recipe_certified(q, p, x0s)
+    assert _verdict("q-even family", all(certified.values()),
+                    f"(q={q}, p={p}): recipe certified at x0 in {sorted(certified)}")
 
 
 _CENSUS_CACHE = {}

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psl2units
@@ -49,6 +50,21 @@ def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
     assert spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank == 1
     monkeypatch.setattr(spectral, "integer_rank", lambda mat: 2)
     with pytest.raises(InvariantViolated, match="rank 2"):
+        spectral.exact_certificate(gens, tab, h, 2, 21)
+
+
+def test_certificate_rejects_a_wrong_displacement(ctx13, monkeypatch):
+    # the certificate recomputes tau = psi phi^T and tau^2 = 0 rather than
+    # assuming them
+    gens, tab = ctx13
+    h = random_outside_dihedralizer(gens, random.Random(6))
+    true_part = spectral.nilpotent_part
+    monkeypatch.setattr(spectral, "nilpotent_part", lambda group, v: 2 * true_part(group, v))
+    with pytest.raises(InvariantViolated, match="factor through"):
+        spectral.exact_certificate(gens, tab, h, 2, 21)
+    monkeypatch.setattr(spectral, "nilpotent_part",
+                        lambda group, v: true_part(group, v) + np.eye(group.n_points, dtype=np.int64))
+    with pytest.raises(InvariantViolated, match="square to zero"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 

@@ -20,7 +20,7 @@ def test_admissible_primes():
     assert admissible_primes(37) == [19]
     assert admissible_primes(53) == []          # 54 = 2 * 3^3
     assert admissible_primes(9) == []           # 10 = 2 * 5, no p > 5
-    assert admissible_primes(2197) == [7, 157]  # 2198 = 2 * 7 * 157
+    assert admissible_primes(2197) == [157]     # 2198 = 2 * 7 * 157; 13 = -1 mod 7
 
 
 def test_odd_prime_powers_range():
@@ -35,10 +35,13 @@ def test_task_seed_stable():
 
 
 def test_admissibility_matches_order_condition_below_2000():
-    # on the gating range every swept pair satisfies the order condition;
-    # the first exception in the stretch range is (2197, 7)
+    # on the gating range the predicate rejects no prime divisor p > 5 of
+    # q + 1, so the swept pairs are those of the divisor filter alone; the
+    # first exception in the stretch range is (2197, 7)
     from psl2units.classify import ORDER_CONDITION, dpc_predicate
+    from psl2units.finite_fields import factorize
     for pp in odd_prime_powers(7, 1999):
+        assert admissible_primes(pp.q) == sorted(p for p in factorize(pp.q + 1) if p > 5)
         for p in admissible_primes(pp.q):
             assert dpc_predicate(pp.q, p).reason == ORDER_CONDITION, (pp.q, p)
     assert dpc_predicate(2197, 7).predicate is False
@@ -89,6 +92,9 @@ def test_check_single_inadmissible():
     with pytest.raises(InadmissiblePair) as exc:
         check_single(13, 11)
     assert exc.value.reason == "p does not divide q+1"
+    with pytest.raises(InadmissiblePair) as exc:
+        check_single(2197, 7)
+    assert exc.value.reason.startswith("no dihedral p-critical element")
 
 
 def test_record_json_roundtrip():
@@ -163,6 +169,32 @@ def test_run_sweep_resume(tmp_path):
     assert strip(crash.read_text().splitlines()) == strip(full_lines)
 
 
+def test_run_sweep_resume_drops_torn_last_lines(tmp_path):
+    # an interrupted write leaves the last line of the output or of the
+    # journal cut short; resume drops such a line and runs its pair again
+    def digests(path):
+        return [SweepRecord.from_json_dict(json.loads(line)).digest()
+                for line in path.read_text().splitlines()]
+
+    clean = tmp_path / "clean.jsonl"
+    run_sweep(7, 150, samples=50, seed=4, jobs=1, out_path=clean)
+    lines = clean.read_text().splitlines()
+    journal = (tmp_path / "clean.jsonl.journal").read_text().splitlines()
+    for torn_out, torn_journal in ((True, False), (False, True), (True, True)):
+        out = tmp_path / f"torn_{torn_out}_{torn_journal}.jsonl"
+        kept_out = lines[:5] + ([lines[5][:20]] if torn_out else [lines[5]])
+        kept_journal = journal[:5] + ([journal[5][:20]] if torn_journal else [journal[5]])
+        out.write_text("\n".join(kept_out))
+        (tmp_path / (out.name + ".journal")).write_text("\n".join(kept_journal))
+        for _ in range(2):  # a second resume reads what the first one appended
+            summary = run_sweep(7, 150, samples=50, seed=4, jobs=1, out_path=out,
+                                resume=True)
+            assert summary.all_satisfied and summary.pairs == len(lines)
+            assert digests(out) == digests(clean)
+            assert len((tmp_path / (out.name + ".journal")).read_text().splitlines()) \
+                == len(lines)
+
+
 def test_run_sweep_emits_expected_pairs(tmp_path):
     out = tmp_path / "pairs.jsonl"
     run_sweep(7, 100, samples=50, seed=0, jobs=1, out_path=out)
@@ -225,6 +257,22 @@ def test_cli_spectral_bad_matrix(capsys):
     rc = main(["spectral", "--q", "13", "--p", "7", "--k", "2", "--m", "21",
                "--h", "1,0,0,2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectral", "--q", "10", "--p", "7", "--k", "2", "--m", "21", "--h", "1,0,0,1"],
+     "10 is not a prime power"),
+    (["spectral", "--q", "13", "--p", "5", "--k", "2", "--m", "20", "--h", "1,0,0,1"],
+     "p=5 does not divide"),
+    (["spectral", "--q", "13", "--p", "7", "--k", "1", "--m", "21", "--h", "1,0,0,1"],
+     "k=1 is 0 or +-1 mod 7"),
+    (["classify", "--q", "12", "--p", "7"], "12 is not a prime power"),
+], ids=["spectral-q-not-prime-power", "spectral-p-not-dividing", "spectral-bad-k",
+        "classify-q-not-prime-power"])
+def test_cli_bad_input_is_a_typed_error(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_cli_sweep(tmp_path, capsys):
