@@ -3,25 +3,22 @@ the double cosets of T = <g>.
 
 The condition, its two orbit sums and the balance verdict are constant on
 each double coset T h T (|T| = (q+1)/2 for odd q), and G - D splits into
-2q - 4 of them, each of |T|^2 elements.  A survey or census therefore
-scans the enumeration only until it has met every double coset, keyed by
-kappa(h) = w^|T| with w the Cayley image of h(xi) (xi the fixed point of
-g in F_{q^2}), and evaluates the 2q - 4 first-met rows, weighted by
-|T|^2.  The batch primitives are vectorized with numpy: Moebius images
-of all points for a whole batch of matrices at once, orbit membership
-via scatter/gather, and per-a-orbit counts via segmented sums.  Field
-arithmetic is read from q x q add and mul tables and length-q inv and
-neg tables, built once per engine from the field's own ``add``, ``mul``,
-``inv`` and ``neg``, so ``finite_fields`` stays the one owner of the
-encodings; F_{q^2} elements are (lo, hi) pairs over them in the basis
-of ``QuadraticExtension``.  Results are bit-identical to the scalar
-bitset path in ``criteria`` and, for surveys and censuses, to a full
-enumeration of G - D (both asserted in the test suite).
+2q - 4 of them, each of |T|^2 elements.  The Cayley map of h(xi) (xi the
+fixed point of g in F_{q^2}) turns them into classes of F_{q^2}*, so a
+survey or census builds one row per class from a primitive element of
+F_{q^2}, checks the rows by their keys and evaluates them, weighted by
+|T|^2.  The batch primitives are vectorized with numpy over q x q add and
+mul tables, gathered from the exp, log and Zech tables of a primitive
+element of F_q, and length-q inv and neg tables, all from the field's own
+arithmetic; F_{q^2} elements are (lo, hi) pairs in the basis of
+``QuadraticExtension``.  Results are bit-identical to the scalar path in
+``criteria`` and to a full enumeration of G - D (both in the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Optional
 
 import numpy as np
@@ -69,15 +66,23 @@ class ConditionEngine:
         fq = group.fq
         self.q = q = gens.q
         self.n_points = group.n_points
-        # encoding tables from the field's own arithmetic; inv[0] is a junk
-        # slot, masked out wherever a denominator may vanish
-        enc = range(q)
-        self.add = np.fromiter((fq.add(x, y) for x in enc for y in enc),
-                               dtype=np.int64, count=q * q).reshape(q, q)
-        self.mul = np.fromiter((fq.mul(x, y) for x in enc for y in enc),
-                               dtype=np.int64, count=q * q).reshape(q, q)
+        # exp and log of beta and the Zech table log(1 + beta^k) take O(q)
+        # field calls.  log(0) is 2(q-1), from where exp5 reads 0; zech is
+        # long enough for the zero row and column, whose add indices are then
+        # overwritten.  inv[0] is a junk slot, masked where a denominator may vanish
+        n = q - 1
+        exp = list(accumulate(repeat(gens.setup.beta, n - 1), fq.mul, initial=1))
+        log = np.full(q, 2 * n, dtype=np.int32)  # int32 halves the q x q index arrays
+        log[exp] = np.arange(n)
+        exp5 = np.array(exp * 2 + [0] * 3 * n, dtype=np.int64)
+        zech = np.array([log[fq.add(1, e)] for e in exp] * 4)
+        lx, ly = log[:, None], log[None, :]
+        self.mul = exp5[lx + ly]
+        idx = lx + zech[ly - lx + n]  # x + y = x (1 + y/x)
+        idx[0], idx[:, 0] = log, log  # 0 + y = y, x + 0 = x
+        self.add = exp5[idx]
         self.inv = np.array([0] + [fq.inv(x) for x in range(1, q)], dtype=np.int64)
-        self.neg = np.array([fq.neg(x) for x in enc], dtype=np.int64)
+        self.neg = np.array([fq.neg(x) for x in range(q)], dtype=np.int64)
 
         self.pg_inv = np.array(group.perm_array(group.inverse(gens.g)), dtype=np.int64)
         self.glabel = np.array([1 + tab.g_index[pt] for pt in range(self.n_points)],
@@ -108,7 +113,7 @@ class ConditionEngine:
             targets.add(tuple(neg(e) for e in g))
             targets.add(tuple(neg(e) for e in ginv))
         self._dihedral_targets = [np.array(t, dtype=np.int64) for t in targets]
-        self._enc = np.arange(self.q, dtype=np.int64)
+        self._enc = np.arange(q, dtype=np.int64)
         # xi = -alpha is the root of X^2 + tX + 1 in F_{q^2}, the fixed point
         # of g = (0, -1, 1, t); the Cayley map about xi turns <g> into
         # multiplication by the subgroup of order (q+1)/2 of F_{q^2}*
@@ -232,6 +237,13 @@ class ConditionEngine:
     def _ext_sub(self, u, v):
         return self.add[u[0], self.neg[v[0]]], self.add[u[1], self.neg[v[1]]]
 
+    def _ext_div(self, u, v):
+        """u / v = u * v^q / N(v) in F_{q^2} (q odd)."""
+        mul, neg = self.mul, self.neg
+        norm = self.add[mul[v[0], v[0]], neg[self._mul_c[mul[v[1], v[1]]]]]
+        u = self._ext_mul(u, (v[0], neg[v[1]]))
+        return mul[u[0], self.inv[norm]], mul[u[1], self.inv[norm]]
+
     def coset_keys(self, mats: np.ndarray) -> np.ndarray:
         """kappa(h) = w^((q+1)/2), w = (h(xi) - xi)/(h(xi) - xi^q), per row.
 
@@ -242,16 +254,13 @@ class ConditionEngine:
         outside D (q odd), where w is finite and nonzero.  Keys are
         encoded as lo + q * hi.
         """
-        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        add, mul = self.add, self.mul
         a, b, c, d = (mats[:, i] for i in range(4))
         x0, x1 = self._xi
         num = (add[mul[a, x0], b], mul[a, x1])  # h(xi) = num / den
         den = (add[mul[c, x0], d], mul[c, x1])
-        top = self._ext_sub(num, self._ext_mul(den, self._xi))
-        bot = self._ext_sub(num, self._ext_mul(den, self._xi_q))
-        norm = add[mul[bot[0], bot[0]], neg[self._mul_c[mul[bot[1], bot[1]]]]]
-        w = self._ext_mul(top, (bot[0], neg[bot[1]]))  # top * bot^q
-        w = (mul[w[0], inv[norm]], mul[w[1], inv[norm]])
+        w = self._ext_div(self._ext_sub(num, self._ext_mul(den, self._xi)),
+                          self._ext_sub(num, self._ext_mul(den, self._xi_q)))
         e = (self.q + 1) // 2
         key = (np.ones_like(a), np.zeros_like(a))
         while e:
@@ -262,29 +271,50 @@ class ConditionEngine:
         return key[0] + self.q * key[1]
 
     def _representatives(self):
-        """The first row of G - D met in each of its 2q - 4 double cosets,
-        as (rows, positions) in enumeration order; stops once all are met."""
+        """One row per double coset T h T of G - D, and the rows' keys.
+
+        The Cayley images of G - D are F_{q^2}* minus the norm-1 group,
+        modulo the subgroup of order (q+1)/2: 2q - 4 classes, met once each
+        by w = gamma^i (gamma primitive, 0 < i < 2q - 2, i != q - 1).  Rows
+        must have determinant 1, lie outside D and have distinct keys.
+        """
         q = self.q
         if q % 2 == 0:
             raise ValueError("double-coset surveys are defined for odd q")
-        n_classes = 2 * q - 4
-        first = {}  # key -> (position in G - D, row)
-        scanned = 0
-        # the scan meets every double coset after about q^2 rows; batches
-        # are capped so that its transient arrays stay a few MB at large q
-        for mats in self._candidate_batches(min(q * q, 1 << 16)):
-            keys, idx = np.unique(self.coset_keys(mats), return_index=True)
-            for key, i in zip(keys.tolist(), idx.tolist()):
-                if key not in first:
-                    first[key] = (scanned + i, mats[i].copy())  # a view would keep the batch
-            scanned += mats.shape[0]
-            if len(first) >= n_classes:
-                break
-        if len(first) != n_classes:
-            raise InvariantViolated(f"q={q}: met {len(first)} double cosets of <g> "
-                                    f"in G - D, expected {n_classes}")
-        pos, rows = zip(*sorted(first.values(), key=lambda item: item[0]))
-        return np.array(rows, dtype=np.int64), np.array(pos)
+        fq2 = self.gens.setup.fq2
+        gamma = next(u for u in map(fq2.from_encoding, range(q, q * q))
+                     if fq2.element_order(u) == q * q - 1)
+        w = list(accumulate(repeat(gamma, 2 * q - 3), fq2.mul, initial=fq2.one))
+        rows = self._cayley_rows(tuple(np.array(w[1:q - 1] + w[q:]).T))
+        keys = self.coset_keys(rows)
+        a, b, c, d = rows.T
+        if ((self.add[self.mul[a, d], self.neg[self.mul[b, c]]] != 1).any()
+                or self.in_dihedralizer_batch(rows).any() or len(set(keys.tolist())) != 2 * q - 4):
+            raise InvariantViolated(f"q={q}: the rows built for G - D are not {2 * q - 4} "
+                                    "elements of distinct double cosets of <g>")
+        return rows, keys
+
+    def _cayley_rows(self, w):
+        """Rows h of G with h(xi) = z, the point of Cayley image w.
+
+        z = (xi - w xi^q)/(1 - w) = x + y xi, y != 0 as z lies off F_q, and
+        h = (x + y(d - t), x d - y; 1, d) / sqrt(y(d^2 - t d + 1)), with d
+        the first encoding that makes the determinant a (nonzero) square.
+        """
+        add, mul, neg, inv, e = self.add, self.mul, self.neg, self.inv, self._enc
+        z = self._ext_div(self._ext_sub(self._xi, self._ext_mul(w, self._xi_q)),
+                          self._ext_sub((1, 0), w))
+        y = mul[z[1], inv[self._xi[1]]]
+        x = add[z[0], neg[mul[y, self._xi[0]]]]
+        t = self.gens.setup.t
+        root = np.zeros(self.q, dtype=np.int64)
+        root[mul[e, e]] = e  # a square root of each square, nonzero off 0
+        nd = add[add[mul[e, e], neg[mul[t, e]]], 1]  # d^2 - t d + 1
+        d = np.where(root[y] > 0, np.argmax(root[nd] > 0), np.argmax(root[nd] == 0))
+        s = inv[root[mul[y, nd[d]]]]
+        a = add[x, mul[y, add[d, neg[t]]]]
+        b = add[mul[x, d], neg[y]]
+        return np.stack([mul[a, s], mul[b, s], s, mul[d, s]], axis=1)
 
     # -- enumeration ------------------------------------------------------
 
@@ -332,19 +362,25 @@ class ConditionEngine:
     def survey(self) -> Survey:
         """The condition on one row per double coset, weighted by |T|^2.
 
-        The first satisfied element in enumeration order is the first
-        element of its double coset, so it is a representative.
+        ``first_h`` is the first row of the enumeration of G - D whose
+        double coset is satisfied, found by reading coset keys only; it is
+        the first satisfied element in enumeration order.
         """
-        reps, pos = self._representatives()
+        reps, keys = self._representatives()
         ok, _, _ = self.condition_batch(reps)
         weight = ((self.q + 1) // 2) ** 2
-        hits = np.flatnonzero(ok)
-        first_h = None
-        first_tries = 0
-        if hits.size:
-            i = int(hits[0])
-            first_h = self.gens.group.normalize(tuple(int(x) for x in reps[i]))
-            first_tries = int(pos[i]) + 1
+        first_h, first_tries = None, 0
+        wanted = set(keys[ok].tolist())
+        for mats in self._candidate_batches(self.q) if wanted else ():
+            i = next((i for i, k in enumerate(self.coset_keys(mats).tolist()) if k in wanted), -1)
+            if i >= 0:
+                first_h = self.gens.group.normalize(tuple(int(x) for x in mats[i]))
+                first_tries += i + 1
+                break
+            first_tries += mats.shape[0]
+        if wanted and first_h is None:
+            raise InvariantViolated(f"q={self.q}: the enumeration of G - D misses "
+                                    "a satisfied double coset of <g>")
         return Survey(total=len(reps) * weight, satisfied=int(ok.sum()) * weight,
                       first_h=first_h, first_tries=first_tries)
 

@@ -490,12 +490,14 @@ class QuadraticExtension:
 
     def trace(self, u):
         t = self.add(u, self.frobenius(u))
-        assert t[1] == 0
+        if t[1]:
+            raise InvariantViolated(f"trace of {u} lies outside F_{self.q}")
         return t[0]
 
     def norm(self, u):
         n = self.mul(u, self.frobenius(u))
-        assert n[1] == 0
+        if n[1]:
+            raise InvariantViolated(f"norm of {u} lies outside F_{self.q}")
         return n[0]
 
     def inv(self, u):

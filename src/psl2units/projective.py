@@ -121,7 +121,8 @@ class PSL2:
         while cur != ident:
             cur = self.compose(cur, m)
             s += 1
-            assert s <= self.q + 1, "element order exceeds the group exponent"
+            if s > self.q + 1:
+                raise InvariantViolated(f"the order of {m} exceeds q + 1")
         return s
 
     def has_order(self, m: Element, n: int) -> bool:
@@ -248,8 +249,8 @@ class PSL2:
         root = fq.pow(det, self.q // 2)
         s = fq.inv(root)
         out = self.normalize(tuple(fq.mul(e, s) for e in m))
-        assert self.apply(out, x0) == y0 and self.apply(out, x1) == y1 \
-            and self.apply(out, x2) == y2
+        if (self.apply(out, x0), self.apply(out, x1), self.apply(out, x2)) != (y0, y1, y2):
+            raise InvariantViolated(f"{out} does not send {(x0, x1, x2)} to {(y0, y1, y2)}")
         return out
 
 

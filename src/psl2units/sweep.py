@@ -10,7 +10,6 @@ exactly-once semantics.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -66,6 +65,7 @@ class SweepRecord:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
     def digest(self) -> str:
+        import hashlib  # lazily: an exhaustive check never hashes, so skips OpenSSL
         payload = {k: v for k, v in self.to_json_dict().items() if k != "elapsed_ms"}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -98,6 +98,7 @@ def odd_prime_powers(lo: int, hi: int):
 
 def task_seed(seed: int, q: int, p: int) -> int:
     """Stable per-task seed (independent of Python hash randomization)."""
+    import hashlib
     digest = hashlib.sha256(f"{seed}:{q}:{p}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -40,13 +40,15 @@ def test_criterion_1_sweep_reproduction(tmp_path):
                     f"on 7 <= q <= 1999 (samples=200)")
 
 
-# every pair with q + 1 = 2p and q < 400, the family the paper proves
+# every pair with q + 1 = 2p and q < 1000, the family the paper proves
 _TWO_P_PAIRS = [(13, 7), (25, 13), (37, 19), (61, 31), (73, 37), (81, 41), (121, 61),
-                (157, 79), (193, 97), (277, 139), (313, 157), (361, 181), (397, 199)]
+                (157, 79), (193, 97), (277, 139), (313, 157), (361, 181), (397, 199),
+                (421, 211), (457, 229), (541, 271), (613, 307), (625, 313), (661, 331),
+                (673, 337), (733, 367), (757, 379), (841, 421), (877, 439), (997, 499)]
 
 
-def test_two_p_pairs_are_every_such_pair_below_400():
-    assert _TWO_P_PAIRS == [(pp.q, (pp.q + 1) // 2) for pp in odd_prime_powers(7, 399)
+def test_two_p_pairs_are_every_such_pair_below_1000():
+    assert _TWO_P_PAIRS == [(pp.q, (pp.q + 1) // 2) for pp in odd_prime_powers(7, 999)
                             if (pp.q + 1) // 2 in admissible_primes(pp.q)]
 
 

@@ -229,6 +229,22 @@ def test_engine_tables_match_scalar_action(l, r, p):
             assert in_d is None or bool(dmask[i]) == in_d
 
 
+@pytest.mark.parametrize("l, r, p", [(13, 1, 7), (2, 4, 17), (5, 2, 13), (3, 3, 7),
+                                     (5, 3, 7)])
+def test_engine_tables_equal_field_ops(l, r, p):
+    # the Zech-built tables against the field's scalar ops on every pair:
+    # prime, characteristic 2 and extension fields
+    gens, tab = _context(l, r, p)
+    fq, q = gens.group.fq, gens.q
+    eng = ConditionEngine(gens, tab)
+    for name in ("add", "mul"):
+        op = getattr(fq, name)
+        want = np.array([[op(x, y) for y in range(q)] for x in range(q)], dtype=np.int64)
+        assert np.array_equal(getattr(eng, name), want)
+    assert eng.inv[1:].tolist() == [fq.inv(x) for x in range(1, q)]
+    assert eng.neg.tolist() == [fq.neg(x) for x in range(q)]
+
+
 def test_engine_enumeration_is_psl(ctx13, ctx16):
     for gens, _tab in (ctx13, ctx16):
         G = gens.group
@@ -345,13 +361,22 @@ def test_coset_keys_are_the_double_cosets(ctx, request):
         assert len(np.unique(columns[inverse == k], axis=0)) == 1
 
 
-def test_short_scan_raises(ctx27, monkeypatch):
+def test_repeated_double_coset_raises(ctx27, monkeypatch):
+    # the constructed rows are checked, not trusted: a row replaced by
+    # another element g h g of the previous row's double coset is rejected
     eng = ConditionEngine(*ctx27)
-    first = next(eng._candidate_batches(eng.q * eng.q))
-    monkeypatch.setattr(eng, "_candidate_batches", lambda rows: iter([first[:100]]))
-    with pytest.raises(InvariantViolated, match="double cosets"):
+    G, g = eng.gens.group, eng.gens.g
+    build = eng._cayley_rows
+
+    def repeating(w):
+        rows = build(w)
+        rows[1] = G.compose(G.compose(g, tuple(int(x) for x in rows[0])), g)
+        return rows
+
+    monkeypatch.setattr(eng, "_cayley_rows", repeating)
+    with pytest.raises(InvariantViolated, match="double coset"):
         eng.survey()
-    with pytest.raises(InvariantViolated, match="double cosets"):
+    with pytest.raises(InvariantViolated, match="double coset"):
         eng.census()
 
 

@@ -87,43 +87,79 @@ def test_eigen_data_rejects_collisions_and_misplaced_extremes(monkeypatch):
         spectral.eigen_data(7, 2, 21)
 
 
+def _rejected_under_python_O(code: str) -> str:
+    """Run ``code`` under python -O, after checking that -O strips its
+    leading ``assert False``; return its stdout."""
+    code = "from psl2units.errors import InvariantViolated\nassert False\n" + code
+    assert _run(code).returncode != 0
+    proc = _run(code, "-O")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_invariant_checks_survive_python_O():
-    code = """
+    assert _rejected_under_python_O("""
 import dataclasses
-from psl2units.errors import InvariantViolated
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.projective import make_generators
-assert False  # stripped under -O; fails the run otherwise
 setup = dataclasses.replace(build_setup(PrimePower.from_q(13)), t=2)
 try:
     make_generators(setup, 7)
 except InvariantViolated:
     print("rejected")
-"""
-    assert _run(code).returncode != 0
-    proc = _run(code, "-O")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "rejected"
+""") == "rejected"
 
 
 def test_orbit_checks_survive_python_O():
-    code = """
+    assert _rejected_under_python_O("""
 import dataclasses
-from psl2units.errors import InvariantViolated
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
-assert False  # stripped under -O; fails the run otherwise
 gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
 try:
     build_orbits(dataclasses.replace(gens, g=gens.sigma))
 except InvariantViolated:
     print("rejected")
-"""
-    assert _run(code).returncode != 0
-    proc = _run(code, "-O")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "rejected"
+""") == "rejected"
+
+
+def test_double_coset_check_survives_python_O():
+    # survey and census reject constructed rows that repeat a double coset
+    assert _rejected_under_python_O("""
+from psl2units.engine import ConditionEngine
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+gens = make_generators(build_setup(PrimePower.from_q(27)), 7)
+eng = ConditionEngine(gens, build_orbits(gens))
+build = eng._cayley_rows
+def repeating(w):
+    rows = build(w)
+    rows[1] = rows[0]
+    return rows
+eng._cayley_rows = repeating
+for run in (eng.survey, eng.census):
+    try:
+        run()
+    except InvariantViolated as exc:
+        print("double coset" in str(exc))
+""") == "True\nTrue"
+
+
+def test_three_point_check_survives_python_O():
+    # the interpolation check decides every even-q recipe certificate
+    assert _rejected_under_python_O("""
+from psl2units.finite_fields import make_field
+from psl2units.projective import PSL2
+G = PSL2(make_field(2, 4))
+print(G.apply(G.three_point_map(1, 2, 3, 4, 5, 6), 3))
+G.apply = lambda m, pt: pt  # an action that moves no point
+try:
+    G.three_point_map(1, 2, 3, 4, 5, 6)
+except InvariantViolated:
+    print("rejected")
+""") == "6\nrejected"
 
 
 def test_import_loads_neither_mpmath_nor_process_pool():
@@ -138,3 +174,8 @@ def test_import_loads_neither_mpmath_nor_process_pool():
                 "('psl2units.sweep', 'hashlib', 'logging', 'mpmath') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # an exhaustive check never hashes, so it does not load hashlib either
+    proc = _run("import sys, psl2units.sweep as sweep; "
+                "sweep.check_single(27, 7, exhaustive=True); print('hashlib' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
