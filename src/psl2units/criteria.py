@@ -1,20 +1,25 @@
-"""Exact intersection combinatorics for free-companion certificates (q odd).
+"""The orbit-sum condition and the balance criterion (q odd), read from
+point-permutation rows.
 
-For h outside the dihedralizer D of a, everything is decided by integer
-cardinalities of orbit intersections:
+For h outside the dihedralizer D of a, both verdicts are integer counts
+over the a-orbits of the orbit table, read along a row perm[x] = h(x):
 
-* the triple counts m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
-  and their balance equalities.  The exact certificate of the certifier
-  module has projection coefficients c_b = 2(D_b + D_-b), with
-  D_b = m[b][0][0][1] - m[b][0][1][0], so its projections escape exactly
-  when h is unbalanced (some shift breaks balance).  This is the weaker,
-  exact criterion for the h-indexed bicyclic unit to be a free companion
-  of the conjugated Bass unit;
+* [x in h^-1(O_0)] and the label 1 + k of the orbit g^h(O_k) holding x
+  (g^h = h^-1 g h, read through the table's g^-1), in a-power order;
 * the weighted sums over a-orbits whose inequality is the stronger,
   sufficient condition: it implies unbalance but not conversely.  The
-  sweep searches for it because one h meeting it settles the pair.
+  sweep searches for it because one h meeting it settles the pair;
+* the balance defects D_b = m[b][0][0][1] - m[b][0][1][0] of the triple
+  counts m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|, as cyclic
+  correlations along each a-orbit.  The exact certificate of the spectral
+  module has projection coefficients c_b = 2(D_b + D_-b), so its
+  projections escape exactly when h is unbalanced (some shift breaks
+  balance).  This is the weaker, exact criterion for the h-indexed
+  bicyclic unit to be a free companion of the conjugated Bass unit.
 
-All counts are bitset popcounts over the fixed point order.
+The row functions take one row or a batch of rows (leading axes); the
+scalar entry points run them on ``perm_array(h)`` and the survey engine
+on its Moebius batches, so each verdict has one implementation.
 """
 
 from __future__ import annotations
@@ -22,77 +27,69 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
-from .orbits import OrbitTable, image_points, intersect_count
+from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element
 
 
-@dataclass
-class IntersectionCounts:
-    """m[j][k] = |h(O_j) n gh(O_k)|; mb[b][i][j][k] adds the h a^b h^-1(O_i)
-    constraint, with b stored modulo p."""
+def orbit_layers(tab: OrbitTable, perm: np.ndarray):
+    """Per-row indicators read along the a-orbits, in a-power order.
 
-    p: int
-    m: list[list[int]]
-    mb: list[list[list[list[int]]]]  # [b][i][j][k]
-
-    def mb_sym(self, b: int, i: int, j: int, k: int) -> int:
-        """Access with b in the symmetric window -(p-1)/2 .. (p-1)/2."""
-        return self.mb[b % self.p][i][j][k]
+    Returns ``(in_h0, vo)``: ``in_h0`` is [x in h^-1(O_0)] and ``vo`` is
+    1 + k for the g^h-orbit image g^h(O_k) containing x, g^h = h^-1 g h.
+    """
+    lab = np.zeros(perm.shape, dtype=np.int8)  # lab[y] = 1 + index of h^-1(y)
+    np.put_along_axis(lab, perm, tab.glabel, axis=-1)
+    vo = np.take_along_axis(lab, tab.perm_g_inv[perm], axis=-1)
+    return tab.in_o0[perm][..., tab.order_idx], vo[..., tab.order_idx]
 
 
-def _require_outside_dihedralizer(gens: CanonicalGenerators, h: Element):
+def orbit_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
+    """(lhs != rhs, lhs, rhs) of the orbit-sum condition, per row."""
+    c1 = np.add.reduceat(in_h0, tab.starts, axis=-1)
+    c2_0 = np.add.reduceat((vo == 1).astype(np.int32), tab.starts, axis=-1)
+    c2_1 = np.add.reduceat((vo == 2).astype(np.int32), tab.starts, axis=-1)
+    lhs = (c1[..., tab.blocks0] * c2_1[..., tab.blocks0]).sum(axis=-1)
+    rhs = (c1[..., tab.blocks1] * c2_0[..., tab.blocks1]).sum(axis=-1)
+    return lhs != rhs, lhs, rhs
+
+
+def shift_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """D_b + D_-b for the shifts 0 < b <= (p-1)/2, per row; shift b is
+    balanced iff its sum is 0.
+
+    D_b is a cyclic correlation along each a-orbit x_t = a^t(z): the
+    signed cross indicator (+[x in g^h(O_1)] on O_0, -[x in g^h(O_0)] on
+    O_1) against [x_(t-b) in h^-1(O_0)].  The family with first index 1
+    correlates against h^-1(O_1) instead, so it equals the cross total
+    minus D_b shift by shift; the cross total must vanish, else
+    BalanceFamiliesDisagree.  D_0 must vanish too (the b = 0 symmetry),
+    else InvariantViolated.
+    """
+    p = tab.gens.p
+    shape = in_h0.shape[:-1] + (len(tab.starts), p)
+    cross = (vo.reshape(shape) == tab.cross_label) * tab.cross_sign
+    layer = in_h0.reshape(shape).astype(np.int8)
+    if cross.sum(axis=(-2, -1)).any():
+        raise BalanceFamiliesDisagree("the two balance families must agree shift by shift")
+    if np.einsum("...kt,...kt->...", cross, layer, dtype=np.int32).any():
+        raise InvariantViolated("the balance defect at shift 0 is not zero")
+    sums = [np.einsum("...kt,...kt->...", cross,
+                      np.roll(layer, b, axis=-1) + np.roll(layer, -b, axis=-1),
+                      dtype=np.int32)
+            for b in range(1, (p - 1) // 2 + 1)]
+    return np.stack(sums, axis=-1)
+
+
+def _perm_row(gens: CanonicalGenerators, h: Element) -> np.ndarray:
+    """The row h(x) of one h, after the checks every verdict needs."""
+    if gens.q % 2 == 0:
+        raise ValueError("the criteria are defined for odd q")
     if gens.group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>; the companion unit is trivial")
-
-
-def intersection_counts(gens: CanonicalGenerators, tab: OrbitTable,
-                        h: Element) -> IntersectionCounts:
-    """All m and m^(b) counts for one h (q odd, h outside D)."""
-    if gens.q % 2 == 0:
-        raise ValueError("intersection counts are defined for odd q")
-    _require_outside_dihedralizer(gens, h)
-    group = gens.group
-    p = gens.p
-    perm_h = group.perm_array(h)
-    perm_hinv = group.perm_array(group.inverse(h))
-    perm_g = group.perm_array(gens.g)
-    perm_a = group.perm_array(gens.a)
-
-    h_pts = [[perm_h[pt] for pt in tab.g_orbits[i]] for i in range(2)]
-    hO = [image_points(perm_h, tab.g_orbits[j]) for j in range(2)]
-    ghO = [image_points(perm_g, h_pts[k]) for k in range(2)]
-    m = [[intersect_count(hO[j], ghO[k]) for k in range(2)] for j in range(2)]
-
-    mb = [[[[0, 0] for _ in range(2)] for _ in range(2)] for _ in range(p)]
-    for i in range(2):
-        layer = [perm_hinv[pt] for pt in tab.g_orbits[i]]  # h^-1(O_i)
-        for b in range(p):
-            moved = image_points(perm_h, layer)  # h a^b h^-1 (O_i)
-            for j in range(2):
-                for k in range(2):
-                    mb[b][i][j][k] = intersect_count(moved & hO[j], ghO[k])
-            layer = [perm_a[pt] for pt in layer]
-
-    counts = IntersectionCounts(p=p, m=m, mb=mb)
-    _assert_count_invariants(gens, counts)
-    return counts
-
-
-def _assert_count_invariants(gens: CanonicalGenerators, c: IntersectionCounts):
-    """Raise InvariantViolated unless the counts partition as they must."""
-    half = (gens.q + 1) // 2
-    m, mb, p = c.m, c.mb, c.p
-    ok = (m[0][0] + m[0][1] == half and m[1][0] + m[1][1] == half
-          and m[0][0] + m[1][0] == half and m[0][1] + m[1][1] == half
-          and m[0][1] == m[1][0] and m[0][0] == m[1][1]
-          and all(mb[b][0][j][k] + mb[b][1][j][k] == m[j][k]
-                  for b in range(p) for j in range(2) for k in range(2))
-          and mb[0][0][0][1] == mb[0][0][1][0]
-          and mb[0][1][0][1] == mb[0][1][1][0])
-    if not ok:
-        raise InvariantViolated("intersection counts break the orbit partition "
-                                "or the b = 0 symmetry")
+    return np.array(gens.group.perm_array(h))
 
 
 def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,
@@ -108,47 +105,8 @@ def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,
     is sufficient for the exact certificate but not necessary.  At q = 27,
     p = 7, 8624 of the 9800 h in G - D meet it while 9408 are certified.
     """
-    if gens.q % 2 == 0:
-        raise ValueError("the companion condition is defined for odd q")
-    _require_outside_dihedralizer(gens, h)
-    group = gens.group
-    perm_h = group.perm_array(h)
-    gh = group.conj_pow(gens.g, h)
-    perm_gh = group.perm_array(gh)
-    ghO = [image_points(perm_gh, tab.g_orbits[k]) for k in range(2)]
-    mask_O0 = tab.masks_g[0]
-
-    lhs = 0
-    rhs = 0
-    for j in range(gens.d):
-        lhs += intersect_count(image_points(perm_h, tab.a_orbits[0][j]), mask_O0) \
-            * intersect_count(tab.masks_a[0][j], ghO[1])
-        rhs += intersect_count(image_points(perm_h, tab.a_orbits[1][j]), mask_O0) \
-            * intersect_count(tab.masks_a[1][j], ghO[0])
-    return lhs != rhs, lhs, rhs
-
-
-def balance_table(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
-                  counts: IntersectionCounts | None = None) -> dict[int, bool]:
-    """Per-shift balance equalities of the triple counts.
-
-    For each 0 < b <= (p-1)/2 the entry is True iff
-    m[b][0][0][1] + m[-b][0][0][1] == m[b][0][1][0] + m[-b][0][1][0];
-    the same equality with first index 1 must agree shift by shift, else
-    BalanceFamiliesDisagree is raised.
-    """
-    c = counts if counts is not None else intersection_counts(gens, tab, h)
-    table = {}
-    for b in range(1, (gens.p - 1) // 2 + 1):
-        eq0 = (c.mb_sym(b, 0, 0, 1) + c.mb_sym(-b, 0, 0, 1)
-               == c.mb_sym(b, 0, 1, 0) + c.mb_sym(-b, 0, 1, 0))
-        eq1 = (c.mb_sym(b, 1, 0, 1) + c.mb_sym(-b, 1, 0, 1)
-               == c.mb_sym(b, 1, 1, 0) + c.mb_sym(-b, 1, 1, 0))
-        if eq0 != eq1:
-            raise BalanceFamiliesDisagree(
-                "the two balance families must agree shift by shift")
-        table[b] = eq0
-    return table
+    differs, lhs, rhs = orbit_sums(tab, *orbit_layers(tab, _perm_row(gens, h)))
+    return bool(differs), int(lhs), int(rhs)
 
 
 @dataclass
@@ -161,18 +119,18 @@ class CriterionReport:
     rhs: int
     unbalanced: bool           # some shift violates balance
     witness_b: Optional[int]   # first such shift, if any
-    counts: IntersectionCounts
+    shift_sums: tuple[int, ...]  # D_b + D_-b for b = 1 .. (p-1)/2
 
 
 def criterion_report(gens: CanonicalGenerators, tab: OrbitTable,
                      h: Element) -> CriterionReport:
-    differs, lhs, rhs = companion_condition(gens, tab, h)
-    counts = intersection_counts(gens, tab, h)
-    table = balance_table(gens, tab, h, counts)
-    witness = next((b for b, eq in table.items() if not eq), None)
-    return CriterionReport(h=h, sums_differ=differs, lhs=lhs, rhs=rhs,
+    layers = orbit_layers(tab, _perm_row(gens, h))
+    differs, lhs, rhs = orbit_sums(tab, *layers)
+    sums = tuple(shift_sums(tab, *layers).tolist())
+    witness = next((b for b, s in enumerate(sums, 1) if s), None)
+    return CriterionReport(h=h, sums_differ=bool(differs), lhs=int(lhs), rhs=int(rhs),
                            unbalanced=witness is not None, witness_b=witness,
-                           counts=counts)
+                           shift_sums=sums)
 
 
 @dataclass

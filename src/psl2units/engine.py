@@ -7,12 +7,14 @@ each double coset T h T (|T| = (q+1)/2 for odd q), and G - D splits into
 fixed point of g in F_{q^2}) turns them into classes of F_{q^2}*, so a
 survey or census builds one row per class from a primitive element of
 F_{q^2}, checks the rows by their keys and evaluates them, weighted by
-|T|^2.  The batch primitives are vectorized with numpy over q x q add and
-mul tables, gathered from the exp, log and Zech tables of a primitive
-element of F_q, and length-q inv and neg tables, all from the field's own
-arithmetic; F_{q^2} elements are (lo, hi) pairs in the basis of
-``QuadraticExtension``.  Results are bit-identical to the scalar path in
-``criteria`` and to a full enumeration of G - D (both in the tests).
+|T|^2.  The verdicts are the row functions of ``criteria`` applied to
+Moebius rows; the batch primitives that build those rows, test D
+membership and key the double cosets are vectorized with numpy over q x q
+add and mul tables, gathered from the exp, log and Zech tables of a
+primitive element of F_q, and length-q inv and neg tables, all from the
+field's own arithmetic; F_{q^2} elements are (lo, hi) pairs in the basis
+of ``QuadraticExtension``.  Surveys and censuses are bit-identical to a
+full enumeration of G - D (in the tests).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BalanceFamiliesDisagree, InvariantViolated
+from .criteria import orbit_layers, orbit_sums, shift_sums
+from .errors import InvariantViolated
 from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element
 
@@ -84,27 +87,6 @@ class ConditionEngine:
         self.inv = np.array([0] + [fq.inv(x) for x in range(1, q)], dtype=np.int64)
         self.neg = np.array([fq.neg(x) for x in range(q)], dtype=np.int64)
 
-        self.pg_inv = np.array(group.perm_array(group.inverse(gens.g)), dtype=np.int64)
-        self.glabel = np.array([1 + tab.g_index[pt] for pt in range(self.n_points)],
-                               dtype=np.int8)
-        self.in_o0 = np.array([tab.g_index[pt] == 0 for pt in range(self.n_points)],
-                              dtype=np.int32)
-        order_idx = []
-        iblocks = []
-        for i, row in enumerate(tab.a_orbits):
-            for orbit in row:
-                order_idx.extend(orbit)
-                iblocks.append(i)
-        self.order_idx = np.array(order_idx, dtype=np.int64)
-        self.starts = np.arange(0, len(order_idx), gens.p)
-        iblocks = np.array(iblocks)
-        self.blocks0 = np.flatnonzero(iblocks == 0)
-        self.blocks1 = np.flatnonzero(iblocks == 1)
-        # a-orbits of O_0 look for g^h(O_1) (label 2) and count +1; a-orbits
-        # of O_1 look for g^h(O_0) (label 1) and count -1
-        self._cross_label = np.where(iblocks == 0, 2, 1).astype(np.int8)[:, None]
-        self._cross_sign = np.where(iblocks == 0, 1, -1).astype(np.int8)[:, None]
-
         g = gens.g
         ginv = group.inverse(g)
         targets = {g, ginv}
@@ -162,58 +144,9 @@ class ConditionEngine:
             out |= (m11 == t[0]) & (m12 == t[1]) & (m21 == t[2]) & (m22 == t[3])
         return out
 
-    def _orbit_layers(self, mats: np.ndarray):
-        """Per-row indicators read along the a-orbits, in a-power order.
-
-        Returns ``(in_h0, vo)``: ``in_h0`` is [x in h^-1(O_0)] and ``vo`` is
-        1 + k for the g^h-orbit image g^h(O_k) containing x, g^h = h^-1 g h.
-        """
-        perm = self.mobius_batch(mats)
-        n = mats.shape[0]
-        rows = np.arange(n)[:, None]
-        lab = np.zeros((n, self.n_points), dtype=np.int8)
-        lab[rows, perm] = self.glabel[None, :]
-        in_h0 = self.in_o0[perm][:, self.order_idx]
-        vo = lab[rows, self.pg_inv[perm]][:, self.order_idx]
-        return in_h0, vo
-
-    def _orbit_sums(self, in_h0: np.ndarray, vo: np.ndarray):
-        c1 = np.add.reduceat(in_h0, self.starts, axis=1)
-        c2_0 = np.add.reduceat((vo == 1).astype(np.int32), self.starts, axis=1)
-        c2_1 = np.add.reduceat((vo == 2).astype(np.int32), self.starts, axis=1)
-        lhs = (c1[:, self.blocks0] * c2_1[:, self.blocks0]).sum(axis=1)
-        rhs = (c1[:, self.blocks1] * c2_0[:, self.blocks1]).sum(axis=1)
-        return lhs != rhs, lhs, rhs
-
-    def _unbalanced(self, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray:
-        """Rows where some shift 0 < b <= (p-1)/2 violates balance.
-
-        D_b = m^(b)[0][0][1] - m^(b)[0][1][0] is a cyclic correlation along
-        each a-orbit x_t = a^t(z): the signed cross indicator (+[x in
-        g^h(O_1)] on O_0, -[x in g^h(O_0)] on O_1) against [x_(t-b) in
-        h^-1(O_0)].  Shift b is balanced iff D_b + D_-b = 0.  The family
-        with first index 1 correlates against h^-1(O_1) instead and must
-        agree shift by shift, as in ``criteria.balance_table``.
-        """
-        p = self.gens.p
-        shape = (in_h0.shape[0], len(self.starts), p)
-        cross = (vo.reshape(shape) == self._cross_label) * self._cross_sign
-        in_h0 = in_h0.reshape(shape).astype(np.int8)
-        balanced = []
-        for layer in (in_h0, 1 - in_h0):  # h^-1(O_0), h^-1(O_1)
-            sym = [np.einsum("nkt,nkt->n", cross,
-                             np.roll(layer, b, axis=2) + np.roll(layer, -b, axis=2),
-                             dtype=np.int32)
-                   for b in range(1, (p - 1) // 2 + 1)]  # D_b + D_-b
-            balanced.append(np.stack(sym, axis=1) == 0)
-        if not np.array_equal(*balanced):
-            raise BalanceFamiliesDisagree(
-                "the two balance families must agree shift by shift")
-        return ~balanced[0].all(axis=1)
-
     def condition_batch(self, mats: np.ndarray):
         """(lhs != rhs, lhs, rhs) of the companion condition, per row."""
-        return self._orbit_sums(*self._orbit_layers(mats))
+        return orbit_sums(self.tab, *orbit_layers(self.tab, self.mobius_batch(mats)))
 
     def criteria_batch(self, mats: np.ndarray):
         """(lhs != rhs, lhs, rhs, unbalanced) per row, from one Moebius pass.
@@ -221,9 +154,9 @@ class ConditionEngine:
         ``unbalanced`` matches ``criteria.criterion_report(...).unbalanced``,
         the verdict of the exact certificate for h outside D.
         """
-        in_h0, vo = self._orbit_layers(mats)
-        differs, lhs, rhs = self._orbit_sums(in_h0, vo)
-        return differs, lhs, rhs, self._unbalanced(in_h0, vo)
+        layers = orbit_layers(self.tab, self.mobius_batch(mats))
+        differs, lhs, rhs = orbit_sums(self.tab, *layers)
+        return differs, lhs, rhs, shift_sums(self.tab, *layers).any(axis=-1)
 
     # -- double cosets of <g> ---------------------------------------------
 

@@ -316,7 +316,8 @@ class ExtensionField(Field):
             if all(_ppowmod(cand, qm1 // s, f, l) != (1,) for s in primes):
                 gen = cand
                 break
-        assert gen is not None
+        if gen is None:
+            raise InvariantViolated(f"q={q}: no encoding generates F_q*")
 
         exp = [0] * qm1
         cur = (1,)

@@ -4,47 +4,23 @@ The table fixes, once per (q, p), the data every criterion consumes:
 the d' orbits of g (the one through infinity first), the d'*d orbits of
 a inside them, a representative for each a-orbit (its minimal point in
 the global point order), and the coordinates (i, j, b) of every point
-x = a^b(z_ij).  Point sets are bitmasks over the point indices, so
-image and intersection cardinalities are popcounts.
+x = a^b(z_ij).  It also holds the same layout as numpy arrays over the
+point indices, which ``criteria`` reads point-permutation rows through:
+g's inverse permutation, the g-orbit labels, the a-orbits laid end to
+end and the cross label and sign of each a-orbit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvariantViolated
 from .projective import CanonicalGenerators
 
 
-def mask_of(points) -> int:
-    m = 0
-    for pt in points:
-        m |= 1 << pt
-    return m
-
-
-def points_of(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def intersect_count(m1: int, m2: int) -> int:
-    return (m1 & m2).bit_count()
-
-
-def image_points(perm: list[int], points) -> int:
-    """Image mask of a point list under a permutation array."""
-    out = 0
-    for pt in points:
-        out |= 1 << perm[pt]
-    return out
-
-
-@dataclass
+@dataclass(eq=False)
 class OrbitTable:
     gens: CanonicalGenerators
     g_orbits: list[list[int]]            # [i] -> points in g-iteration order
@@ -52,13 +28,15 @@ class OrbitTable:
     reps: list[list[int]]                # [i][j] -> z_ij
     coords: list[tuple[int, int, int]]   # point -> (i, j, b)
     g_index: list[int]                   # point -> i
-    masks_g: list[int] = field(default_factory=list)
-    masks_a: list[list[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.masks_g:
-            self.masks_g = [mask_of(o) for o in self.g_orbits]
-            self.masks_a = [[mask_of(o) for o in row] for row in self.a_orbits]
+    perm_g_inv: np.ndarray               # point -> g^-1(point)
+    glabel: np.ndarray                   # point -> 1 + i, int8
+    in_o0: np.ndarray                    # point -> [point in O_0], int32
+    order_idx: np.ndarray                # the a-orbits end to end, in a-power order
+    starts: np.ndarray                   # offset of each a-orbit in order_idx
+    blocks0: np.ndarray                  # a-orbits inside O_0
+    blocks1: np.ndarray                  # a-orbits inside O_1
+    cross_label: np.ndarray              # per a-orbit: 2 inside O_0, 1 inside O_1
+    cross_sign: np.ndarray               # per a-orbit: +1 inside O_0, -1 inside O_1
 
 
 def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
@@ -108,5 +86,19 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     if any(c[0] < 0 for c in coords):
         raise InvariantViolated(f"q={q}: some point has no a-orbit coordinates")
 
+    perm_g_inv = np.empty(n, dtype=np.int64)
+    perm_g_inv[perm_g] = np.arange(n)
+    g_idx = np.array(g_index)
+    iblocks = np.repeat(np.arange(d_prime), d)  # the g-orbit of each a-orbit
+    # a-orbits of O_0 look for g^h(O_1) (label 2) and count +1; a-orbits of
+    # O_1 look for g^h(O_0) (label 1) and count -1
     return OrbitTable(gens=gens, g_orbits=g_orbits, a_orbits=a_orbits,
-                      reps=reps, coords=coords, g_index=g_index)
+                      reps=reps, coords=coords, g_index=g_index,
+                      perm_g_inv=perm_g_inv, glabel=(1 + g_idx).astype(np.int8),
+                      in_o0=(g_idx == 0).astype(np.int32),
+                      order_idx=np.array(a_orbits, dtype=np.int64).reshape(-1),
+                      starts=np.arange(0, n, p),
+                      blocks0=np.flatnonzero(iblocks == 0),
+                      blocks1=np.flatnonzero(iblocks == 1),
+                      cross_label=np.where(iblocks == 0, 2, 1).astype(np.int8)[:, None],
+                      cross_sign=np.where(iblocks == 0, 1, -1).astype(np.int8)[:, None])

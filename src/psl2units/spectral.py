@@ -54,7 +54,8 @@ def unit_matrix(group: PSL2, w: GroupRingElement) -> np.ndarray:
     cols = np.arange(n)
     out = np.zeros((n, n), dtype=np.int64)
     for s, coeff in w.coeffs.items():
-        assert abs(coeff) < 2 ** 40, "coefficient too large for int64 matrix"
+        if abs(coeff) >= 2 ** 40:
+            raise OverflowError(f"coefficient {coeff} too large for an int64 matrix")
         out[group.perm_array(s), cols] += coeff
     return out
 

@@ -1,0 +1,153 @@
+"""The orbit-sum condition and the balance triple counts as Python-bitmask
+popcounts: an oracle for the numpy row functions of ``psl2units.criteria``.
+
+It shares no code with them: g^h comes from ``conj_pow`` and its own
+permutation array, point sets are bitmasks over the point indices, and
+every triple count m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
+is counted outright.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
+
+
+def mask_of(points) -> int:
+    m = 0
+    for pt in points:
+        m |= 1 << pt
+    return m
+
+
+def points_of(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def intersect_count(m1: int, m2: int) -> int:
+    return (m1 & m2).bit_count()
+
+
+def image_points(perm, points) -> int:
+    """Image mask of a point list under a permutation array."""
+    out = 0
+    for pt in points:
+        out |= 1 << perm[pt]
+    return out
+
+
+def _require_outside_dihedralizer(gens, h):
+    if gens.group.in_dihedralizer(h, gens.g):
+        raise HInDihedralizer("h normalizes <g>; the companion unit is trivial")
+
+
+def orbit_sums(gens, tab, h) -> tuple[bool, int, int]:
+    """(lhs != rhs, lhs, rhs) of the orbit-sum condition for one h:
+    lhs = sum_j |h(O_0j) n O_0| * |O_0j n g^h(O_1)|,
+    rhs = sum_j |h(O_1j) n O_0| * |O_1j n g^h(O_0)|."""
+    _require_outside_dihedralizer(gens, h)
+    group = gens.group
+    perm_h = group.perm_array(h)
+    perm_gh = group.perm_array(group.conj_pow(gens.g, h))
+    ghO = [image_points(perm_gh, tab.g_orbits[k]) for k in range(2)]
+    mask_o0 = mask_of(tab.g_orbits[0])
+    lhs = rhs = 0
+    for j in range(gens.d):
+        lhs += intersect_count(image_points(perm_h, tab.a_orbits[0][j]), mask_o0) \
+            * intersect_count(mask_of(tab.a_orbits[0][j]), ghO[1])
+        rhs += intersect_count(image_points(perm_h, tab.a_orbits[1][j]), mask_o0) \
+            * intersect_count(mask_of(tab.a_orbits[1][j]), ghO[0])
+    return lhs != rhs, lhs, rhs
+
+
+@dataclass
+class IntersectionCounts:
+    """m[j][k] = |h(O_j) n gh(O_k)|; mb[b][i][j][k] adds the h a^b h^-1(O_i)
+    constraint, with b stored modulo p."""
+
+    p: int
+    m: list[list[int]]
+    mb: list[list[list[list[int]]]]  # [b][i][j][k]
+
+    def mb_sym(self, b: int, i: int, j: int, k: int) -> int:
+        """Access with b in the symmetric window -(p-1)/2 .. (p-1)/2."""
+        return self.mb[b % self.p][i][j][k]
+
+    def shift_sum(self, b: int) -> int:
+        """D_b + D_-b, with D_b = m[b][0][0][1] - m[b][0][1][0]."""
+        return sum(self.mb_sym(s, 0, 0, 1) - self.mb_sym(s, 0, 1, 0) for s in (b, -b))
+
+
+def intersection_counts(gens, tab, h) -> IntersectionCounts:
+    """All m and m^(b) counts for one h (q odd, h outside D)."""
+    if gens.q % 2 == 0:
+        raise ValueError("intersection counts are defined for odd q")
+    _require_outside_dihedralizer(gens, h)
+    group = gens.group
+    p = gens.p
+    perm_h = group.perm_array(h)
+    perm_hinv = group.perm_array(group.inverse(h))
+    perm_g = group.perm_array(gens.g)
+    perm_a = group.perm_array(gens.a)
+
+    h_pts = [[perm_h[pt] for pt in tab.g_orbits[i]] for i in range(2)]
+    hO = [image_points(perm_h, tab.g_orbits[j]) for j in range(2)]
+    ghO = [image_points(perm_g, h_pts[k]) for k in range(2)]
+    m = [[intersect_count(hO[j], ghO[k]) for k in range(2)] for j in range(2)]
+
+    mb = [[[[0, 0] for _ in range(2)] for _ in range(2)] for _ in range(p)]
+    for i in range(2):
+        layer = [perm_hinv[pt] for pt in tab.g_orbits[i]]  # h^-1(O_i)
+        for b in range(p):
+            moved = image_points(perm_h, layer)  # h a^b h^-1 (O_i)
+            for j in range(2):
+                for k in range(2):
+                    mb[b][i][j][k] = intersect_count(moved & hO[j], ghO[k])
+            layer = [perm_a[pt] for pt in layer]
+
+    counts = IntersectionCounts(p=p, m=m, mb=mb)
+    assert_count_invariants(gens, counts)
+    return counts
+
+
+def assert_count_invariants(gens, c: IntersectionCounts):
+    """Raise InvariantViolated unless the counts partition as they must."""
+    half = (gens.q + 1) // 2
+    m, mb, p = c.m, c.mb, c.p
+    ok = (m[0][0] + m[0][1] == half and m[1][0] + m[1][1] == half
+          and m[0][0] + m[1][0] == half and m[0][1] + m[1][1] == half
+          and m[0][1] == m[1][0] and m[0][0] == m[1][1]
+          and all(mb[b][0][j][k] + mb[b][1][j][k] == m[j][k]
+                  for b in range(p) for j in range(2) for k in range(2))
+          and mb[0][0][0][1] == mb[0][0][1][0]
+          and mb[0][1][0][1] == mb[0][1][1][0])
+    if not ok:
+        raise InvariantViolated("intersection counts break the orbit partition "
+                                "or the b = 0 symmetry")
+
+
+def balance_table(gens, tab, h, counts: IntersectionCounts | None = None) -> dict[int, bool]:
+    """Per-shift balance equalities of the triple counts.
+
+    For each 0 < b <= (p-1)/2 the entry is True iff
+    m[b][0][0][1] + m[-b][0][0][1] == m[b][0][1][0] + m[-b][0][1][0];
+    the same equality with first index 1 must agree shift by shift, else
+    BalanceFamiliesDisagree is raised.
+    """
+    c = counts if counts is not None else intersection_counts(gens, tab, h)
+    table = {}
+    for b in range(1, (gens.p - 1) // 2 + 1):
+        eq0 = c.shift_sum(b) == 0
+        eq1 = (c.mb_sym(b, 1, 0, 1) + c.mb_sym(-b, 1, 0, 1)
+               == c.mb_sym(b, 1, 1, 0) + c.mb_sym(-b, 1, 1, 0))
+        if eq0 != eq1:
+            raise BalanceFamiliesDisagree(
+                "the two balance families must agree shift by shift")
+        table[b] = eq0
+    return table

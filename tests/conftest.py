@@ -12,6 +12,17 @@ def _context(l, r, p):
     return gens, tab
 
 
+_CONTEXTS = {}
+
+
+def cached_context(l, r, p):
+    """``_context`` built once per session, for hypothesis tests, which
+    take no function-scoped fixtures."""
+    if (l, r, p) not in _CONTEXTS:
+        _CONTEXTS[l, r, p] = _context(l, r, p)
+    return _CONTEXTS[l, r, p]
+
+
 @pytest.fixture(scope="session")
 def ctx13():
     return _context(13, 1, 7)

@@ -268,7 +268,7 @@ def test_criterion_9_eigenvalue_data():
 
 
 def test_criterion_10_combinatorial_identities():
-    from psl2units.criteria import balance_table, intersection_counts
+    from bitmask_oracle import balance_table, intersection_counts
     hosts = [((13, 1), 7), ((5, 2), 13), ((3, 3), 7), ((37, 1), 19),
              ((53, 1), 3)]  # q=53 has no prime > 5 dividing q+1; use 3
     checked = 0

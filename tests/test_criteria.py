@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psl2units.criteria import (
-    balance_table, companion_condition, criterion_report, intersection_counts,
-    search_companion,
+    companion_condition, criterion_report, orbit_layers, search_companion, shift_sums,
 )
 from psl2units.engine import ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
-from psl2units.orbits import image_points, intersect_count
 
-from conftest import _context, random_outside_dihedralizer
+from bitmask_oracle import (
+    balance_table, image_points, intersect_count, intersection_counts, mask_of, orbit_sums,
+)
+from conftest import _context, cached_context, random_outside_dihedralizer
 
 
 def test_rejects_dihedralizer_members(ctx13):
     gens, tab = ctx13
     with pytest.raises(HInDihedralizer):
         companion_condition(gens, tab, gens.g)
+    with pytest.raises(HInDihedralizer):
+        criterion_report(gens, tab, gens.a)
     with pytest.raises(HInDihedralizer):
         intersection_counts(gens, tab, gens.a)
 
@@ -44,8 +47,8 @@ def test_symmetric_cross_counts(ctx13):
         perm = G.perm_array(gh)
         gh0 = image_points(perm, tab.g_orbits[0])
         gh1 = image_points(perm, tab.g_orbits[1])
-        assert intersect_count(tab.masks_g[0], gh1) == \
-            intersect_count(tab.masks_g[1], gh0)
+        assert intersect_count(mask_of(tab.g_orbits[0]), gh1) == \
+            intersect_count(mask_of(tab.g_orbits[1]), gh0)
 
 
 def test_q13_every_h_satisfies(ctx13):
@@ -132,13 +135,13 @@ def test_label_swap_preserves_verdict(ctx27):
         gh = G.conj_pow(gens.g, h)
         perm_gh = G.perm_array(gh)
         ghO = [image_points(perm_gh, tab.g_orbits[k]) for k in range(2)]
-        mask_O1 = tab.masks_g[1]
+        mask_O1 = mask_of(tab.g_orbits[1])
         lhs_s = rhs_s = 0
         for j in range(gens.d):
             lhs_s += intersect_count(image_points(perm_h, tab.a_orbits[1][j]), mask_O1) \
-                * intersect_count(tab.masks_a[1][j], ghO[0])
+                * intersect_count(mask_of(tab.a_orbits[1][j]), ghO[0])
             rhs_s += intersect_count(image_points(perm_h, tab.a_orbits[0][j]), mask_O1) \
-                * intersect_count(tab.masks_a[0][j], ghO[1])
+                * intersect_count(mask_of(tab.a_orbits[0][j]), ghO[1])
         assert (lhs_s != rhs_s) == differs
 
 
@@ -158,6 +161,40 @@ def test_criterion_report_fields(ctx27):
         if saw_witness and saw_balanced:
             break
     assert saw_witness and saw_balanced
+
+
+def test_criterion_report_matches_oracle(ctx13, ctx25, ctx27, ctx37):
+    # the numpy rows against the bitmask triple counts: orbit sums, the
+    # per-shift sums D_b + D_-b, the verdict and its witness
+    for gens, tab in (ctx13, ctx25, ctx27, ctx37):
+        rng = random.Random(12)
+        for _ in range(60):
+            h = random_outside_dihedralizer(gens, rng)
+            rep = criterion_report(gens, tab, h)
+            counts = intersection_counts(gens, tab, h)
+            table = balance_table(gens, tab, h, counts)
+            assert (rep.sums_differ, rep.lhs, rep.rhs) == orbit_sums(gens, tab, h)
+            assert rep.shift_sums == tuple(counts.shift_sum(b) for b in table)
+            assert rep.unbalanced == (not all(table.values()))
+            assert rep.witness_b == next((b for b, eq in table.items() if not eq), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([(13, 1, 7), (5, 2, 13), (3, 3, 7), (2, 4, 17), (2, 3, 3)]),
+       seed=st.integers(0, 2 ** 32))
+def test_conjugate_labels_read_through_stored_inverse(field, seed):
+    # the g^h labels the rows read through the table's g^-1 are those of
+    # perm_array(conj_pow(g, h)), over prime, extension and char 2 fields
+    gens, tab = cached_context(*field)
+    G = gens.group
+    h = G.random_element(random.Random(seed))
+    perm_gh = G.perm_array(G.conj_pow(gens.g, h))
+    want = [0] * G.n_points
+    for k, orbit in enumerate(tab.g_orbits):
+        for pt in orbit:
+            want[perm_gh[pt]] = 1 + k  # perm_gh[pt] lies in g^h(O_k)
+    _, vo = orbit_layers(tab, np.array(G.perm_array(h)))
+    assert vo.tolist() == [want[pt] for pt in tab.order_idx]
 
 
 def test_search_companion_seeded(ctx13):
@@ -192,7 +229,7 @@ def test_engine_matches_scalar(ctx13, ctx25, ctx27):
             assert bool(dmask[i]) == G.in_dihedralizer(h, gens.g)
             if not dmask[i]:
                 assert (bool(ok[i]), int(lhs[i]), int(rhs[i])) == \
-                    companion_condition(gens, tab, h)
+                    companion_condition(gens, tab, h) == orbit_sums(gens, tab, h)
 
 
 def _dihedralizer(gens):
@@ -279,21 +316,31 @@ def test_engine_balance_matches_scalar(ctx13, ctx25, ctx27, ctx37):
             np.array(hs, dtype=np.int64))
         for i, h in enumerate(hs):
             rep = criterion_report(gens, tab, h)
-            assert bool(unbalanced[i]) == rep.unbalanced
+            assert bool(unbalanced[i]) == rep.unbalanced \
+                == (not all(balance_table(gens, tab, h).values()))
             assert (bool(differs[i]), int(lhs[i]), int(rhs[i])) == \
-                companion_condition(gens, tab, h)
+                companion_condition(gens, tab, h) == orbit_sums(gens, tab, h)
 
 
 def test_engine_balance_mismatch_raises(ctx27):
     # inconsistent layers: every point in g^h(O_1) and none in h^-1(O_0);
     # the family with first index 0 sees balance, the one with first index
     # 1 does not
-    eng = ConditionEngine(*ctx27)
-    width = len(eng.order_idx)
+    _, tab = ctx27
+    width = len(tab.order_idx)
     vo = np.full((1, width), 2, dtype=np.int8)
     in_h0 = np.zeros((1, width), dtype=np.int32)
     with pytest.raises(BalanceFamiliesDisagree):
-        eng._unbalanced(in_h0, vo)
+        shift_sums(tab, in_h0, vo)
+
+
+def test_zero_shift_defect_raises(ctx27):
+    # layers whose cross total vanishes but whose D_0 is (q + 1)/2: O_0
+    # inside both h^-1(O_0) and g^h(O_1), O_1 inside g^h(O_0)
+    _, tab = ctx27
+    in_o0 = np.repeat(np.isin(np.arange(len(tab.starts)), tab.blocks0), tab.gens.p)
+    with pytest.raises(InvariantViolated, match="shift 0"):
+        shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
 
 
 def test_engine_census_q27(ctx27):

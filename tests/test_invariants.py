@@ -13,12 +13,12 @@ import pytest
 
 import psl2units
 from psl2units import spectral
-from psl2units.criteria import _assert_count_invariants, intersection_counts
 from psl2units.errors import InvariantViolated
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 
+from bitmask_oracle import assert_count_invariants, intersection_counts
 from conftest import random_outside_dihedralizer
 
 SRC = str(Path(psl2units.__file__).resolve().parents[1])
@@ -41,7 +41,7 @@ def test_corrupted_counts_are_rejected(ctx13):
     counts = intersection_counts(gens, tab, random_outside_dihedralizer(gens, random.Random(5)))
     counts.mb[1][0][0][1] += 1
     with pytest.raises(InvariantViolated):
-        _assert_count_invariants(gens, counts)
+        assert_count_invariants(gens, counts)
 
 
 def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
@@ -145,6 +145,39 @@ for run in (eng.survey, eng.census):
     except InvariantViolated as exc:
         print("double coset" in str(exc))
 """) == "True\nTrue"
+
+
+def test_zero_shift_check_survives_python_O():
+    # layers whose balance defect at shift 0 is not zero are refused
+    assert _rejected_under_python_O("""
+import numpy as np
+from psl2units.criteria import shift_sums
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+tab = build_orbits(make_generators(build_setup(PrimePower.from_q(27)), 7))
+in_o0 = np.repeat(np.isin(np.arange(len(tab.starts)), tab.blocks0), 7)
+try:
+    shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
+except InvariantViolated as exc:
+    print("shift 0" in str(exc))
+""") == "True"
+
+
+def test_unit_matrix_guard_survives_python_O():
+    # a coefficient that could overflow the int64 matrix is refused
+    assert _rejected_under_python_O("""
+from psl2units.finite_fields import make_field
+from psl2units.group_ring import GroupRingElement
+from psl2units.projective import PSL2
+from psl2units.spectral import unit_matrix
+G = PSL2(make_field(13, 1))
+print(unit_matrix(G, GroupRingElement.one(G) * (2 ** 40 - 1))[0, 0])
+try:
+    unit_matrix(G, GroupRingElement.one(G) * 2 ** 40)
+except OverflowError:
+    print("rejected")
+""") == f"{2 ** 40 - 1}\nrejected"
 
 
 def test_three_point_check_survives_python_O():

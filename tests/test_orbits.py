@@ -2,10 +2,10 @@ import random
 
 from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup, \
     make_field, FieldSetup
-from psl2units.orbits import build_orbits, image_points, intersect_count, \
-    mask_of, points_of
+from psl2units.orbits import build_orbits
 from psl2units.projective import INF, make_generators
 
+from bitmask_oracle import image_points, intersect_count, mask_of, points_of
 from conftest import random_outside_dihedralizer
 
 
@@ -104,8 +104,8 @@ def test_image_set_preserves_cardinality(ctx13):
         h = G.random_element(rng)
         img = image_points(G.perm_array(h), tab.g_orbits[0])
         assert img.bit_count() == len(tab.g_orbits[0])
-        assert intersect_count(img, tab.masks_g[0]) \
-            + intersect_count(img, tab.masks_g[1]) == (gens.q + 1) // 2
+        assert intersect_count(img, mask_of(tab.g_orbits[0])) \
+            + intersect_count(img, mask_of(tab.g_orbits[1])) == (gens.q + 1) // 2
 
 
 def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
@@ -113,7 +113,7 @@ def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
     for gens, tab in (ctx13, ctx25, ctx27, ctx37):
         G = gens.group
         rng = random.Random(4)
-        orbit_masks = set(tab.masks_g)
+        orbit_masks = {mask_of(o) for o in tab.g_orbits}
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
             for base in (h, G.conj_pow(gens.g, h)):

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psl2units.finite_fields import PrimePower, build_setup, make_field
 from psl2units.projective import INF, PSL2, make_generators
 
-from conftest import _context, random_outside_dihedralizer
+from conftest import _context, cached_context, random_outside_dihedralizer
 
 
 def fpt(x):
@@ -137,6 +138,18 @@ def test_conjugation_conventions(ctx13):
     assert G.conj_pow(x, h) == G.compose(G.compose(G.inverse(h), x), h)
     assert G.conj_unit(x, h) == G.compose(G.compose(h, x), G.inverse(h))
     assert G.conj_unit(G.conj_pow(x, h), h) == G.normalize(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([(13, 1, 7), (5, 2, 13), (3, 3, 7), (2, 4, 17), (2, 3, 3)]),
+       seeds=st.tuples(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32)))
+def test_action_is_a_homomorphism(field, seeds):
+    # (x y)(pt) = x(y(pt)) on the point indices, over prime, extension and
+    # char 2 fields
+    G = cached_context(*field)[0].group
+    x, y = (G.random_element(random.Random(s)) for s in seeds)
+    perm_x, perm_y = G.perm_array(x), G.perm_array(y)
+    assert G.perm_array(G.compose(x, y)) == [perm_x[pt] for pt in perm_y]
 
 
 def test_three_point_map_identity_and_postcondition(ctx16):

@@ -4,7 +4,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from psl2units.criteria import balance_table
 from psl2units.engine import ConditionEngine
 from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec
 from psl2units.group_ring import GroupRingElement, bass_unit
@@ -15,6 +14,7 @@ from psl2units.spectral import (
     projection_coeffs, recipe_element, sigma_companion, unit_matrix, vanishes,
 )
 
+from bitmask_oracle import balance_table, intersection_counts
 from conftest import _context, random_outside_dihedralizer
 
 
@@ -204,7 +204,6 @@ def test_projection_coeffs_zero_vector(ctx13):
 
 
 def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
-    from psl2units.criteria import intersection_counts
     from psl2units.spectral import _odd_vectors
 
     for gens, tab in (ctx13, ctx27):
