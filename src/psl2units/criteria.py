@@ -5,7 +5,8 @@ For h outside the dihedralizer D of a, both verdicts are integer counts
 over the a-orbits of the orbit table, read along a row perm[x] = h(x):
 
 * [x in h^-1(O_0)] and the label 1 + k of the orbit g^h(O_k) holding x
-  (g^h = h^-1 g h, read through the table's g^-1), in a-power order;
+  (g^h = h^-1 g h, read through the table's g^-1), in a-power order: a
+  block of p per a-orbit, summed or correlated after a reshape;
 * the weighted sums over a-orbits whose inequality is the stronger,
   sufficient condition: it implies unbalance but not conversely.  The
   sweep searches for it because one h meeting it settles the pair;
@@ -46,11 +47,17 @@ def orbit_layers(tab: OrbitTable, perm: np.ndarray):
     return tab.in_o0[perm][..., tab.order_idx], vo[..., tab.order_idx]
 
 
+def _by_orbit(tab: OrbitTable, layer: np.ndarray) -> np.ndarray:
+    """A layer with its last axis split into (a-orbit, a-power)."""
+    return layer.reshape(layer.shape[:-1] + (-1, tab.gens.p))
+
+
 def orbit_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
     """(lhs != rhs, lhs, rhs) of the orbit-sum condition, per row."""
-    c1 = np.add.reduceat(in_h0, tab.starts, axis=-1)
-    c2_0 = np.add.reduceat((vo == 1).astype(np.int32), tab.starts, axis=-1)
-    c2_1 = np.add.reduceat((vo == 2).astype(np.int32), tab.starts, axis=-1)
+    vo = _by_orbit(tab, vo)
+    c1 = _by_orbit(tab, in_h0).sum(axis=-1)
+    c2_0 = (vo == 1).sum(axis=-1)
+    c2_1 = (vo == 2).sum(axis=-1)
     lhs = (c1[..., tab.blocks0] * c2_1[..., tab.blocks0]).sum(axis=-1)
     rhs = (c1[..., tab.blocks1] * c2_0[..., tab.blocks1]).sum(axis=-1)
     return lhs != rhs, lhs, rhs
@@ -69,9 +76,8 @@ def shift_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray
     else InvariantViolated.
     """
     p = tab.gens.p
-    shape = in_h0.shape[:-1] + (len(tab.starts), p)
-    cross = (vo.reshape(shape) == tab.cross_label) * tab.cross_sign
-    layer = in_h0.reshape(shape).astype(np.int8)
+    cross = (_by_orbit(tab, vo) == tab.cross_label) * tab.cross_sign
+    layer = _by_orbit(tab, in_h0).astype(np.int8)
     if cross.sum(axis=(-2, -1)).any():
         raise BalanceFamiliesDisagree("the two balance families must agree shift by shift")
     if np.einsum("...kt,...kt->...", cross, layer, dtype=np.int32).any():

@@ -259,15 +259,13 @@ class ConditionEngine:
         for d in units:
             yield 0, d
 
-    def enumerate_batches(self, target_rows: int = 16384):
+    def enumerate_batches(self):
         """Batches of determinant-1 matrices, each PSL element exactly once.
 
-        Rows are grouped by bottom row (c, d); exactly one of the pair
-        {(c, d), (-c, -d)} is used, so {M, -M} is never emitted twice.
+        Each batch holds the q rows of one bottom row (c, d); exactly one of
+        the pair {(c, d), (-c, -d)} is used, so {M, -M} is never emitted twice.
         """
         q = self.q
-        chunks = []
-        size = 0
         for c, d in self._half_rows():
             if c != 0:
                 a = self._enc
@@ -275,22 +273,8 @@ class ConditionEngine:
             else:
                 b = self._enc
                 a = np.full(q, self.inv[d], dtype=np.int64)
-            mat = np.stack([a, b, np.full(q, c, dtype=np.int64),
+            yield np.stack([a, b, np.full(q, c, dtype=np.int64),
                             np.full(q, d, dtype=np.int64)], axis=1)
-            chunks.append(mat)
-            size += q
-            if size >= target_rows:
-                yield np.concatenate(chunks)
-                chunks, size = [], 0
-        if chunks:
-            yield np.concatenate(chunks)
-
-    def _candidate_batches(self, target_rows: int):
-        """The batches of ``enumerate_batches`` with D filtered out."""
-        for mats in self.enumerate_batches(target_rows):
-            mats = mats[~self.in_dihedralizer_batch(mats)]
-            if mats.shape[0]:
-                yield mats
 
     def survey(self) -> Survey:
         """The condition on one row per double coset, weighted by |T|^2.
@@ -304,7 +288,8 @@ class ConditionEngine:
         weight = ((self.q + 1) // 2) ** 2
         first_h, first_tries = None, 0
         wanted = set(keys[ok].tolist())
-        for mats in self._candidate_batches(self.q) if wanted else ():
+        for mats in self.enumerate_batches() if wanted else ():
+            mats = mats[~self.in_dihedralizer_batch(mats)]
             i = next((i for i, k in enumerate(self.coset_keys(mats).tolist()) if k in wanted), -1)
             if i >= 0:
                 first_h = self.gens.group.normalize(tuple(int(x) for x in mats[i]))

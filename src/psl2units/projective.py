@@ -133,10 +133,6 @@ class PSL2:
             return False
         return all(self.power(m, n // s) != ident for s in factorize(n))
 
-    def conj_pow(self, x: Element, h: Element) -> Element:
-        """x conjugated in exponent convention: h^-1 * x * h."""
-        return self.compose(self.compose(self.inverse(h), x), h)
-
     def conj_unit(self, x: Element, h: Element) -> Element:
         """x conjugated in unit convention: h * x * h^-1."""
         return self.compose(self.compose(h, x), self.inverse(h))

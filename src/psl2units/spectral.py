@@ -11,6 +11,12 @@ orthogonality test reduces to constancy of integer sequences
 (``vanishes``).  Floating point appears only in the eigenvalue
 magnitudes, where only the ordering matters and the gaps are large, and
 in the independent dense oracle used to cross-check the exact verdict.
+
+Besides the permutations of the support of the displacement, the exact
+certificate builds two permutation rows, of h and of a: the image vector,
+the kernel functional, the profiles along the a-orbits and the projection
+coefficients are numpy gathers from them and from the orbit table's
+arrays (g^-1, the g-orbit labels and the a-orbits in a-power order).
 """
 
 from __future__ import annotations
@@ -77,9 +83,7 @@ def paired_companion(gens: CanonicalGenerators, h: Element) -> GroupRingElement:
 
 def integer_rank(mat: np.ndarray) -> int:
     """Exact rank over the rationals (distinct columns, then elimination)."""
-    cols = {tuple(int(x) for x in mat[:, j]) for j in range(mat.shape[1])}
-    cols.discard((0,) * mat.shape[0])
-    rows = [[Fraction(x) for x in col] for col in cols]
+    rows = [[Fraction(x) for x in col] for col in np.unique(mat, axis=1).T.tolist() if any(col)]
     rank = 0
     ncols = mat.shape[0]
     pivot_col = 0
@@ -168,16 +172,18 @@ def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple
     """
     p = gens.p
     n = gens.group.n_points
-    coords = tab.coords
+    pos = np.empty(n, dtype=np.int64)  # x = a^b(z) sits at offset b of its a-orbit's block
+    pos[tab.order_idx] = np.arange(n)
+    orbit, power = (pos // p).tolist(), (pos % p).tolist()
     unitary_ok = True
     diagonal_ok = True
     for x in range(n):
-        ix, jx, bx = coords[x]
+        ox, bx = orbit[x], power[x]
         for y in range(n):
-            iy, jy, by = coords[y]
+            oy, by = orbit[y], power[y]
             prod = [0] * p
             diag = [0] * p
-            if (ix, jx) == (iy, jy):
+            if ox == oy:
                 for bu in range(p):
                     prod[((by - bx) * bu) % p] += 1
                     diag[(bx * (bu + 1) - bu * by) % p] += 1
@@ -193,58 +199,34 @@ def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple
 # Projections and the exact certificate
 
 
-def projection_coeffs(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
+def projection_coeffs(gens: CanonicalGenerators, perm_h: np.ndarray,
                       w, phi) -> tuple[int, ...]:
     """Coefficient sequence c with phi(pi_b0(w)) = (1/p) sum_b c_b zeta^(b b0).
 
-    c_b applies phi to x -> w[h a^b h^-1 (x)] + w[h a^-b h^-1 (x)]; the
-    projection of w onto the b0-eigenspace pair escapes ker(phi) for one
-    (equivalently every) b0 != 0 iff the sequence is non-constant.
+    c_b applies phi to x -> w[h a^b h^-1 (x)] + w[h a^-b h^-1 (x)], where
+    perm_h is the row h(x) of h; the projection of w onto the b0-eigenspace
+    pair escapes ker(phi) for one (equivalently every) b0 != 0 iff the
+    sequence is non-constant.
     """
-    group = gens.group
     p = gens.p
-    n = group.n_points
-    perm_h = group.perm_array(h)
-    perm_hinv = group.perm_array(group.inverse(h))
-    perm_a = group.perm_array(gens.a)
-    # conj[b][x] = h a^b h^-1 (x)
-    conj = []
-    cur = list(perm_hinv)
-    for _ in range(p):
-        conj.append([perm_h[v] for v in cur])
-        cur = [perm_a[v] for v in cur]
-    c = []
+    perm_a = np.array(gens.group.perm_array(gens.a))
+    cur = np.empty_like(perm_h)  # a^b h^-1, from b = 0
+    cur[perm_h] = np.arange(len(perm_h))
+    conj = np.empty((p, len(perm_h)), dtype=np.int64)  # conj[b][x] = h a^b h^-1 (x)
     for b in range(p):
-        fwd = conj[b]
-        bwd = conj[(p - b) % p]
-        c.append(sum(phi[x] * (w[fwd[x]] + w[bwd[x]]) for x in range(n)))
-    return tuple(c)
+        conj[b] = perm_h[cur]
+        cur = perm_a[cur]
+    wc = np.asarray(w)[conj]
+    return tuple(((wc + wc[-np.arange(p) % p]) @ np.asarray(phi)).tolist())
 
 
-def _odd_vectors(gens: CanonicalGenerators, tab: OrbitTable, h: Element):
-    """Image vector (+1 on h(O_0) n gh(O_1), -1 on h(O_1) n gh(O_0)) and the
-    kernel functional (+1 on O_0, -1 on O_1)."""
-    group = gens.group
-    n = group.n_points
-    perm_h = group.perm_array(h)
-    perm_g = group.perm_array(gens.g)
-    in_h0 = [False] * n
-    for pt in tab.g_orbits[0]:
-        in_h0[perm_h[pt]] = True
-    in_gh0 = [False] * n
-    in_gh1 = [False] * n
-    for pt in tab.g_orbits[0]:
-        in_gh0[perm_g[perm_h[pt]]] = True
-    for pt in tab.g_orbits[1]:
-        in_gh1[perm_g[perm_h[pt]]] = True
-    psi = [0] * n
-    for x in range(n):
-        if in_h0[x] and in_gh1[x]:
-            psi[x] = 1
-        elif not in_h0[x] and in_gh0[x]:
-            psi[x] = -1
-    phi = [1 if tab.g_index[x] == 0 else -1 for x in range(n)]
-    return psi, phi
+def _odd_vectors(tab: OrbitTable, perm_h: np.ndarray):
+    """Image vector (+1 on h(O_0) n gh(O_1), -1 on h(O_1) n gh(O_0)), which
+    is 1_{h(O_0)} - 1_{gh(O_0)}, and the kernel functional (+1 on O_0, -1
+    on O_1), for the row perm_h of h."""
+    ind = np.empty_like(perm_h)  # [x in h(O_0)]
+    ind[perm_h] = tab.in_o0
+    return ind - ind[tab.perm_g_inv], np.where(tab.glabel == 1, 1, -1)
 
 
 def _even_vectors(gens: CanonicalGenerators):
@@ -255,10 +237,10 @@ def _even_vectors(gens: CanonicalGenerators):
     x_pos = fq.neg(t_inv)
     x_neg = fq.neg(fq.mul(fq.mul(gens.setup.beta, gens.setup.beta), t_inv))
     n = gens.group.n_points
-    psi = [0] * n
+    psi = np.zeros(n, dtype=np.int64)
     psi[x_pos + 1] = 1
     psi[x_neg + 1] = -1
-    phi = [-1] * n
+    phi = np.full(n, -1, dtype=np.int64)
     phi[INF] = 0
     phi[0 + 1] = gens.q - 1
     return psi, phi
@@ -286,14 +268,11 @@ class ExactCertificate:
         return {**asdict(self), "h": list(self.h)}
 
 
-def _profiles(gens: CanonicalGenerators, tab: OrbitTable, h: Element, vec):
-    """vec read along the h-image of each a-orbit, in a-power order."""
-    perm_h = gens.group.perm_array(h)
-    out = []
-    for row in tab.a_orbits:
-        for orbit in row:
-            out.append([vec[perm_h[pt]] for pt in orbit])
-    return out
+def _profile_varies(tab: OrbitTable, perm_h: np.ndarray, vec: np.ndarray) -> bool:
+    """True iff vec is non-constant along the h-image of some a-orbit; the
+    profiles are vec read along those images in a-power order, one per row."""
+    prof = vec[perm_h[tab.order_idx]].reshape(-1, tab.gens.p)
+    return bool((prof != prof[:, :1]).any())
 
 
 def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int):
@@ -320,13 +299,14 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     extreme projections of the image vector escape the kernel hyperplane.
     """
     parity, ed, tau = _displacement(gens, h, k, m)
-    psi, phi = _odd_vectors(gens, tab, h) if parity == "odd" else _even_vectors(gens)
+    perm_h = np.array(gens.group.perm_array(h))
+    psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
     if (tau @ tau).any():
         raise InvariantViolated("displacement must square to zero")
     if not np.array_equal(tau, np.outer(psi, phi)):
         raise InvariantViolated("displacement must factor through the expected image vector")
-    if sum(p_ * w_ for p_, w_ in zip(phi, psi)) != 0:
+    if phi @ psi != 0:
         raise InvariantViolated("image vector must lie in the kernel hyperplane")
     rank = integer_rank(tau)
     if rank != 1:
@@ -336,12 +316,9 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     # eigenspaces out of the kernel hyperplane and the image vector
     # non-orthogonal to some intermediate eigenspace.  (The 0-shift
     # eigenspace genuinely sits inside the hyperplane when q + 1 = p.)
-    phi_profiles = _profiles(gens, tab, h, phi)
-    psi_profiles = _profiles(gens, tab, h, psi)
-    escapes = any(len(set(prof)) > 1 for prof in phi_profiles)
-    meets = any(len(set(prof)) > 1 for prof in psi_profiles)
-
-    projections_escape = not vanishes(projection_coeffs(gens, tab, h, psi, phi))
+    escapes = _profile_varies(tab, perm_h, phi)
+    meets = _profile_varies(tab, perm_h, psi)
+    projections_escape = not vanishes(projection_coeffs(gens, perm_h, psi, phi))
 
     return ExactCertificate(
         q=gens.q, p=gens.p, k=k, m=m, parity=parity, h=h,
@@ -448,23 +425,21 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     p = gens.p
     n = group.n_points
 
-    perm_h = group.perm_array(h)
+    perm_h = np.array(group.perm_array(h))
     zeta = np.exp(-2j * np.pi / p)
     plus_cols, minus_cols, zero_cols = [], [], []
-    for row in tab.a_orbits:
-        for orbit in row:
-            images = [perm_h[pt] for pt in orbit]
-            for bp in range(p):
-                col = np.zeros(n, dtype=complex)
-                for c_idx, x in enumerate(images):
-                    col[x] = zeta ** (c_idx * bp)
-                cls = min(bp, p - bp)
-                if cls == ed.b_plus:
-                    plus_cols.append(col)
-                elif cls == ed.b_minus:
-                    minus_cols.append(col)
-                else:
-                    zero_cols.append(col)
+    for images in perm_h[tab.order_idx].reshape(-1, p).tolist():  # h-image of each a-orbit
+        for bp in range(p):
+            col = np.zeros(n, dtype=complex)
+            for c_idx, x in enumerate(images):
+                col[x] = zeta ** (c_idx * bp)
+            cls = min(bp, p - bp)
+            if cls == ed.b_plus:
+                plus_cols.append(col)
+            elif cls == ed.b_minus:
+                minus_cols.append(col)
+            else:
+                zero_cols.append(col)
     v_plus = _orth(np.array(plus_cols).T, tol)
     v_minus = _orth(np.array(minus_cols).T, tol)
     v_zero = _orth(np.array(zero_cols).T, tol)

@@ -1,9 +1,10 @@
 """The orbit-sum condition and the balance triple counts as Python-bitmask
 popcounts: an oracle for the numpy row functions of ``psl2units.criteria``.
 
-It shares no code with them: g^h comes from ``conj_pow`` and its own
-permutation array, point sets are bitmasks over the point indices, and
-every triple count m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
+It shares no code with them: the g- and a-orbits are its own point lists,
+walked on perm_array(g) and perm_array(a), g^h comes from ``conj_pow`` and
+its own permutation array, point sets are bitmasks over the point indices,
+and every triple count m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
 is counted outright.
 """
 
@@ -42,27 +43,58 @@ def image_points(perm, points) -> int:
     return out
 
 
+def conj_pow(group, x, h):
+    """x conjugated in exponent convention: h^-1 * x * h."""
+    return group.compose(group.compose(group.inverse(h), x), h)
+
+
+def _cycles(perm, points) -> list[list[int]]:
+    """The cycles of perm through the given points, each walked from the
+    first of them not on an earlier cycle."""
+    out, seen = [], set()
+    for start in points:
+        if start in seen:
+            continue
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        seen.update(cycle)
+        out.append(cycle)
+    return out
+
+
+def orbit_lists(gens) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """(g_orbits, a_orbits): g_orbits[i] is O_i in g-iteration order from its
+    smallest point (O_0 through infinity, point 0); a_orbits[i] are the
+    a-orbits inside O_i, each from its smallest point."""
+    group = gens.group
+    g_orbits = _cycles(group.perm_array(gens.g), range(group.n_points))
+    perm_a = group.perm_array(gens.a)
+    return g_orbits, [_cycles(perm_a, sorted(orbit)) for orbit in g_orbits]
+
+
 def _require_outside_dihedralizer(gens, h):
     if gens.group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>; the companion unit is trivial")
 
 
-def orbit_sums(gens, tab, h) -> tuple[bool, int, int]:
+def orbit_sums(gens, h) -> tuple[bool, int, int]:
     """(lhs != rhs, lhs, rhs) of the orbit-sum condition for one h:
     lhs = sum_j |h(O_0j) n O_0| * |O_0j n g^h(O_1)|,
     rhs = sum_j |h(O_1j) n O_0| * |O_1j n g^h(O_0)|."""
     _require_outside_dihedralizer(gens, h)
     group = gens.group
+    g_orbits, a_orbits = orbit_lists(gens)
     perm_h = group.perm_array(h)
-    perm_gh = group.perm_array(group.conj_pow(gens.g, h))
-    ghO = [image_points(perm_gh, tab.g_orbits[k]) for k in range(2)]
-    mask_o0 = mask_of(tab.g_orbits[0])
+    perm_gh = group.perm_array(conj_pow(group, gens.g, h))
+    ghO = [image_points(perm_gh, g_orbits[k]) for k in range(2)]
+    mask_o0 = mask_of(g_orbits[0])
     lhs = rhs = 0
     for j in range(gens.d):
-        lhs += intersect_count(image_points(perm_h, tab.a_orbits[0][j]), mask_o0) \
-            * intersect_count(mask_of(tab.a_orbits[0][j]), ghO[1])
-        rhs += intersect_count(image_points(perm_h, tab.a_orbits[1][j]), mask_o0) \
-            * intersect_count(mask_of(tab.a_orbits[1][j]), ghO[0])
+        lhs += intersect_count(image_points(perm_h, a_orbits[0][j]), mask_o0) \
+            * intersect_count(mask_of(a_orbits[0][j]), ghO[1])
+        rhs += intersect_count(image_points(perm_h, a_orbits[1][j]), mask_o0) \
+            * intersect_count(mask_of(a_orbits[1][j]), ghO[0])
     return lhs != rhs, lhs, rhs
 
 
@@ -84,7 +116,7 @@ class IntersectionCounts:
         return sum(self.mb_sym(s, 0, 0, 1) - self.mb_sym(s, 0, 1, 0) for s in (b, -b))
 
 
-def intersection_counts(gens, tab, h) -> IntersectionCounts:
+def intersection_counts(gens, h) -> IntersectionCounts:
     """All m and m^(b) counts for one h (q odd, h outside D)."""
     if gens.q % 2 == 0:
         raise ValueError("intersection counts are defined for odd q")
@@ -95,15 +127,16 @@ def intersection_counts(gens, tab, h) -> IntersectionCounts:
     perm_hinv = group.perm_array(group.inverse(h))
     perm_g = group.perm_array(gens.g)
     perm_a = group.perm_array(gens.a)
+    g_orbits, _ = orbit_lists(gens)
 
-    h_pts = [[perm_h[pt] for pt in tab.g_orbits[i]] for i in range(2)]
-    hO = [image_points(perm_h, tab.g_orbits[j]) for j in range(2)]
+    h_pts = [[perm_h[pt] for pt in g_orbits[i]] for i in range(2)]
+    hO = [image_points(perm_h, g_orbits[j]) for j in range(2)]
     ghO = [image_points(perm_g, h_pts[k]) for k in range(2)]
     m = [[intersect_count(hO[j], ghO[k]) for k in range(2)] for j in range(2)]
 
     mb = [[[[0, 0] for _ in range(2)] for _ in range(2)] for _ in range(p)]
     for i in range(2):
-        layer = [perm_hinv[pt] for pt in tab.g_orbits[i]]  # h^-1(O_i)
+        layer = [perm_hinv[pt] for pt in g_orbits[i]]  # h^-1(O_i)
         for b in range(p):
             moved = image_points(perm_h, layer)  # h a^b h^-1 (O_i)
             for j in range(2):
@@ -132,7 +165,7 @@ def assert_count_invariants(gens, c: IntersectionCounts):
                                 "or the b = 0 symmetry")
 
 
-def balance_table(gens, tab, h, counts: IntersectionCounts | None = None) -> dict[int, bool]:
+def balance_table(gens, h, counts: IntersectionCounts | None = None) -> dict[int, bool]:
     """Per-shift balance equalities of the triple counts.
 
     For each 0 < b <= (p-1)/2 the entry is True iff
@@ -140,7 +173,7 @@ def balance_table(gens, tab, h, counts: IntersectionCounts | None = None) -> dic
     the same equality with first index 1 must agree shift by shift, else
     BalanceFamiliesDisagree is raised.
     """
-    c = counts if counts is not None else intersection_counts(gens, tab, h)
+    c = counts if counts is not None else intersection_counts(gens, h)
     table = {}
     for b in range(1, (gens.p - 1) // 2 + 1):
         eq0 = c.shift_sum(b) == 0

@@ -11,7 +11,8 @@ from psl2units.engine import ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 
 from bitmask_oracle import (
-    balance_table, image_points, intersect_count, intersection_counts, mask_of, orbit_sums,
+    balance_table, conj_pow, image_points, intersect_count, intersection_counts, mask_of,
+    orbit_lists, orbit_sums,
 )
 from conftest import _context, cached_context, random_outside_dihedralizer
 
@@ -23,16 +24,16 @@ def test_rejects_dihedralizer_members(ctx13):
     with pytest.raises(HInDihedralizer):
         criterion_report(gens, tab, gens.a)
     with pytest.raises(HInDihedralizer):
-        intersection_counts(gens, tab, gens.a)
+        intersection_counts(gens, gens.a)
 
 
 def test_count_marginals(ctx13, ctx27):
-    for gens, tab in (ctx13, ctx27):
+    for gens, _ in (ctx13, ctx27):
         rng = random.Random(0)
         half = (gens.q + 1) // 2
         for _ in range(20):
             h = random_outside_dihedralizer(gens, rng)
-            c = intersection_counts(gens, tab, h)
+            c = intersection_counts(gens, h)
             assert c.m[0][0] + c.m[0][1] == half
             assert c.m[0][1] == c.m[1][0]
             assert c.m[0][0] == c.m[1][1]
@@ -40,15 +41,16 @@ def test_count_marginals(ctx13, ctx27):
 
 def test_symmetric_cross_counts(ctx13):
     # |O_0 n g^h(O_1)| = |O_1 n g^h(O_0)| for every h
-    gens, tab = ctx13
+    gens, _ = ctx13
     G = gens.group
+    g_orbits, _ = orbit_lists(gens)
     for h in G.enumerate_elements():
-        gh = G.conj_pow(gens.g, h)
+        gh = conj_pow(G, gens.g, h)
         perm = G.perm_array(gh)
-        gh0 = image_points(perm, tab.g_orbits[0])
-        gh1 = image_points(perm, tab.g_orbits[1])
-        assert intersect_count(mask_of(tab.g_orbits[0]), gh1) == \
-            intersect_count(mask_of(tab.g_orbits[1]), gh0)
+        gh0 = image_points(perm, g_orbits[0])
+        gh1 = image_points(perm, g_orbits[1])
+        assert intersect_count(mask_of(g_orbits[0]), gh1) == \
+            intersect_count(mask_of(g_orbits[1]), gh0)
 
 
 def test_q13_every_h_satisfies(ctx13):
@@ -72,7 +74,7 @@ def test_orbit_sum_identity(ctx13, ctx25, ctx27, ctx37):
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
             _, lhs, rhs = companion_condition(gens, tab, h)
-            c = intersection_counts(gens, tab, h)
+            c = intersection_counts(gens, h)
             assert sum(c.mb[b][0][0][1] for b in range(gens.p)) == lhs
             assert sum(c.mb[b][0][1][0] for b in range(gens.p)) == rhs
 
@@ -80,11 +82,11 @@ def test_orbit_sum_identity(ctx13, ctx25, ctx27, ctx37):
 def test_balance_families_agree(ctx13, ctx25, ctx27, ctx37):
     # asserted inside balance_table column by column
     seen_unbalanced = False
-    for gens, tab in (ctx13, ctx25, ctx27, ctx37):
+    for gens, _ in (ctx13, ctx25, ctx27, ctx37):
         rng = random.Random(2)
         for _ in range(125):
             h = random_outside_dihedralizer(gens, rng)
-            table = balance_table(gens, tab, h)
+            table = balance_table(gens, h)
             assert set(table) == set(range(1, (gens.p - 1) // 2 + 1))
             seen_unbalanced |= not all(table.values())
     assert seen_unbalanced
@@ -93,15 +95,15 @@ def test_balance_families_agree(ctx13, ctx25, ctx27, ctx37):
 def test_balance_family_mismatch_raises(ctx27):
     # inconsistent triple counts are refused with a typed error, not an
     # assert, so the check survives python -O
-    gens, tab = ctx27
+    gens, _ = ctx27
     rng = random.Random(2)
     h = random_outside_dihedralizer(gens, rng)
-    while not all(balance_table(gens, tab, h).values()):
+    while not all(balance_table(gens, h).values()):
         h = random_outside_dihedralizer(gens, rng)
-    c = intersection_counts(gens, tab, h)
+    c = intersection_counts(gens, h)
     c.mb[1][1][0][1] += 1  # breaks shift 1 of the first-index-1 family only
     with pytest.raises(BalanceFamiliesDisagree):
-        balance_table(gens, tab, h, c)
+        balance_table(gens, h, c)
 
 
 def test_balanced_forces_equal_sums(ctx27):
@@ -113,7 +115,7 @@ def test_balanced_forces_equal_sums(ctx27):
     balanced_seen = 0
     for _ in range(3000):
         h = random_outside_dihedralizer(gens, rng)
-        table = balance_table(gens, tab, h)
+        table = balance_table(gens, h)
         if all(table.values()):
             differs, lhs, rhs = companion_condition(gens, tab, h)
             assert not differs and lhs == rhs
@@ -127,21 +129,22 @@ def test_label_swap_preserves_verdict(ctx27):
     # swapping the two g-orbit labels flips nothing
     gens, tab = ctx27
     G = gens.group
+    g_orbits, a_orbits = orbit_lists(gens)
     rng = random.Random(4)
     for _ in range(25):
         h = random_outside_dihedralizer(gens, rng)
         differs, lhs, rhs = companion_condition(gens, tab, h)
         perm_h = G.perm_array(h)
-        gh = G.conj_pow(gens.g, h)
+        gh = conj_pow(G, gens.g, h)
         perm_gh = G.perm_array(gh)
-        ghO = [image_points(perm_gh, tab.g_orbits[k]) for k in range(2)]
-        mask_O1 = mask_of(tab.g_orbits[1])
+        ghO = [image_points(perm_gh, g_orbits[k]) for k in range(2)]
+        mask_O1 = mask_of(g_orbits[1])
         lhs_s = rhs_s = 0
         for j in range(gens.d):
-            lhs_s += intersect_count(image_points(perm_h, tab.a_orbits[1][j]), mask_O1) \
-                * intersect_count(mask_of(tab.a_orbits[1][j]), ghO[0])
-            rhs_s += intersect_count(image_points(perm_h, tab.a_orbits[0][j]), mask_O1) \
-                * intersect_count(mask_of(tab.a_orbits[0][j]), ghO[1])
+            lhs_s += intersect_count(image_points(perm_h, a_orbits[1][j]), mask_O1) \
+                * intersect_count(mask_of(a_orbits[1][j]), ghO[0])
+            rhs_s += intersect_count(image_points(perm_h, a_orbits[0][j]), mask_O1) \
+                * intersect_count(mask_of(a_orbits[0][j]), ghO[1])
         assert (lhs_s != rhs_s) == differs
 
 
@@ -171,9 +174,9 @@ def test_criterion_report_matches_oracle(ctx13, ctx25, ctx27, ctx37):
         for _ in range(60):
             h = random_outside_dihedralizer(gens, rng)
             rep = criterion_report(gens, tab, h)
-            counts = intersection_counts(gens, tab, h)
-            table = balance_table(gens, tab, h, counts)
-            assert (rep.sums_differ, rep.lhs, rep.rhs) == orbit_sums(gens, tab, h)
+            counts = intersection_counts(gens, h)
+            table = balance_table(gens, h, counts)
+            assert (rep.sums_differ, rep.lhs, rep.rhs) == orbit_sums(gens, h)
             assert rep.shift_sums == tuple(counts.shift_sum(b) for b in table)
             assert rep.unbalanced == (not all(table.values()))
             assert rep.witness_b == next((b for b, eq in table.items() if not eq), None)
@@ -188,9 +191,9 @@ def test_conjugate_labels_read_through_stored_inverse(field, seed):
     gens, tab = cached_context(*field)
     G = gens.group
     h = G.random_element(random.Random(seed))
-    perm_gh = G.perm_array(G.conj_pow(gens.g, h))
+    perm_gh = G.perm_array(conj_pow(G, gens.g, h))
     want = [0] * G.n_points
-    for k, orbit in enumerate(tab.g_orbits):
+    for k, orbit in enumerate(orbit_lists(gens)[0]):
         for pt in orbit:
             want[perm_gh[pt]] = 1 + k  # perm_gh[pt] lies in g^h(O_k)
     _, vo = orbit_layers(tab, np.array(G.perm_array(h)))
@@ -229,7 +232,7 @@ def test_engine_matches_scalar(ctx13, ctx25, ctx27):
             assert bool(dmask[i]) == G.in_dihedralizer(h, gens.g)
             if not dmask[i]:
                 assert (bool(ok[i]), int(lhs[i]), int(rhs[i])) == \
-                    companion_condition(gens, tab, h) == orbit_sums(gens, tab, h)
+                    companion_condition(gens, tab, h) == orbit_sums(gens, h)
 
 
 def _dihedralizer(gens):
@@ -288,7 +291,7 @@ def test_engine_enumeration_is_psl(ctx13, ctx16):
         eng = ConditionEngine(gens, _tab)
         seen = set()
         count = 0
-        for mats in eng.enumerate_batches(2048):
+        for mats in eng.enumerate_batches():
             for row in mats:
                 seen.add(G.normalize(tuple(int(x) for x in row)))
                 count += 1
@@ -317,9 +320,9 @@ def test_engine_balance_matches_scalar(ctx13, ctx25, ctx27, ctx37):
         for i, h in enumerate(hs):
             rep = criterion_report(gens, tab, h)
             assert bool(unbalanced[i]) == rep.unbalanced \
-                == (not all(balance_table(gens, tab, h).values()))
+                == (not all(balance_table(gens, h).values()))
             assert (bool(differs[i]), int(lhs[i]), int(rhs[i])) == \
-                companion_condition(gens, tab, h) == orbit_sums(gens, tab, h)
+                companion_condition(gens, tab, h) == orbit_sums(gens, h)
 
 
 def test_engine_balance_mismatch_raises(ctx27):
@@ -338,7 +341,7 @@ def test_zero_shift_defect_raises(ctx27):
     # layers whose cross total vanishes but whose D_0 is (q + 1)/2: O_0
     # inside both h^-1(O_0) and g^h(O_1), O_1 inside g^h(O_0)
     _, tab = ctx27
-    in_o0 = np.repeat(np.isin(np.arange(len(tab.starts)), tab.blocks0), tab.gens.p)
+    in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), tab.gens.p)
     with pytest.raises(InvariantViolated, match="shift 0"):
         shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
 

@@ -37,8 +37,8 @@ def test_generators_of_a_corrupted_setup_are_rejected():
 
 
 def test_corrupted_counts_are_rejected(ctx13):
-    gens, tab = ctx13
-    counts = intersection_counts(gens, tab, random_outside_dihedralizer(gens, random.Random(5)))
+    gens, _ = ctx13
+    counts = intersection_counts(gens, random_outside_dihedralizer(gens, random.Random(5)))
     counts.mb[1][0][0][1] += 1
     with pytest.raises(InvariantViolated):
         assert_count_invariants(gens, counts)
@@ -156,7 +156,7 @@ from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 tab = build_orbits(make_generators(build_setup(PrimePower.from_q(27)), 7))
-in_o0 = np.repeat(np.isin(np.arange(len(tab.starts)), tab.blocks0), 7)
+in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), 7)
 try:
     shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
 except InvariantViolated as exc:

@@ -1,12 +1,26 @@
 import random
 
+import numpy as np
+
 from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup, \
     make_field, FieldSetup
 from psl2units.orbits import build_orbits
 from psl2units.projective import INF, make_generators
 
-from bitmask_oracle import image_points, intersect_count, mask_of, points_of
+from bitmask_oracle import conj_pow, image_points, intersect_count, mask_of, orbit_lists, \
+    points_of
 from conftest import random_outside_dihedralizer
+
+
+def _coords(tab):
+    """(i, j, b) of every point x = a^b(z_ij), and the representatives z_ij,
+    read from the position of x in ``order_idx``."""
+    gens = tab.gens
+    p, d = gens.p, gens.d
+    pos = np.empty(len(tab.order_idx), dtype=np.int64)
+    pos[tab.order_idx] = np.arange(len(pos))
+    coords = [(x // (p * d), x // p % d, x % p) for x in pos.tolist()]
+    return coords, tab.order_idx.reshape(gens.d_prime, d, p)[:, :, 0].tolist()
 
 
 def _setup_with_trace(l, r, target_t):
@@ -32,60 +46,64 @@ def test_q13_orbits_for_trace_three():
     gens = make_generators(setup, 7)
     tab = build_orbits(gens)
     orbit0 = [INF] + [x + 1 for x in (0, 4, 11, 12, 6, 10)]
-    assert tab.g_orbits[0] == orbit0
-    assert set(tab.g_orbits[1]) == {x + 1 for x in (1, 2, 3, 5, 7, 8, 9)}
+    # d = 1 and INF is point 0, so the first a-orbit is the g-walk from INF
+    assert tab.order_idx[:7].tolist() == orbit0
+    assert set(np.flatnonzero(tab.glabel == 2).tolist()) == {x + 1 for x in (1, 2, 3, 5, 7, 8, 9)}
 
 
 def test_orbit_sizes(ctx13, ctx16, ctx25, ctx27):
     for gens, tab in (ctx13, ctx16, ctx25, ctx27):
         q, p, d, dp = gens.q, gens.p, gens.d, gens.d_prime
-        assert len(tab.g_orbits) == dp
-        assert all(len(o) == p * d for o in tab.g_orbits)
-        assert len(tab.a_orbits) == dp
-        assert all(len(row) == d for row in tab.a_orbits)
-        assert all(len(o) == p for row in tab.a_orbits for o in row)
-        assert INF in tab.g_orbits[0]
+        assert sorted(set(tab.glabel.tolist())) == list(range(1, dp + 1))
+        assert np.bincount(tab.glabel).tolist()[1:] == [p * d] * dp
+        rows = tab.order_idx.reshape(-1, p)  # one a-orbit of p points a row
+        assert rows.shape == (dp * d, p)
+        # d a-orbits inside each g-orbit, the a-orbits of O_i in block i
+        assert (tab.glabel[rows] == np.repeat(np.arange(1, dp + 1), d)[:, None]).all()
+        assert tab.glabel[INF] == 1
 
 
 def test_q16_single_orbit(ctx16):
     gens, tab = ctx16
     assert gens.d == 1 and gens.a == gens.g
-    assert len(tab.g_orbits) == 1 and len(tab.g_orbits[0]) == 17
+    assert tab.glabel.tolist() == [1] * 17
 
 
 def test_q25_two_orbits_d1(ctx25):
     gens, tab = ctx25
     assert gens.d == 1
-    assert [len(o) for o in tab.g_orbits] == [13, 13]
-    assert tab.a_orbits[0][0] is not tab.g_orbits[0]
-    assert set(tab.a_orbits[0][0]) == set(tab.g_orbits[0])
+    assert np.bincount(tab.glabel).tolist() == [0, 13, 13]
+    assert set(tab.order_idx[:13].tolist()) == set(np.flatnonzero(tab.glabel == 1).tolist())
 
 
 def test_decompose_roundtrip(ctx13, ctx27):
     for gens, tab in (ctx13, ctx27):
         G = gens.group
+        coords, reps = _coords(tab)
         seen = set()
         for x in range(G.n_points):
-            i, j, b = tab.coords[x]
+            i, j, b = coords[x]
             assert 0 <= b < gens.p
-            assert G.apply(G.power(gens.a, b), tab.reps[i][j]) == x
+            assert G.apply(G.power(gens.a, b), reps[i][j]) == x
             seen.add((i, j, b))
         assert len(seen) == G.n_points
 
 
 def test_representatives_are_minimal(ctx27):
     gens, tab = ctx27
-    for i, row in enumerate(tab.a_orbits):
+    _, reps = _coords(tab)
+    for i, row in enumerate(tab.order_idx.reshape(gens.d_prime, gens.d, gens.p).tolist()):
         for j, orbit in enumerate(row):
-            assert tab.reps[i][j] == min(orbit) == orbit[0]
+            assert reps[i][j] == min(orbit) == orbit[0]
 
 
 def test_a_step_increments_coordinate(ctx13):
     gens, tab = ctx13
     G = gens.group
+    coords, _ = _coords(tab)
     for x in range(G.n_points):
-        i, j, b = tab.coords[x]
-        i2, j2, b2 = tab.coords[G.apply(gens.a, x)]
+        i, j, b = coords[x]
+        i2, j2, b2 = coords[G.apply(gens.a, x)]
         assert (i2, j2) == (i, j)
         assert b2 == (b + 1) % gens.p
 
@@ -97,27 +115,29 @@ def test_mask_helpers():
 
 
 def test_image_set_preserves_cardinality(ctx13):
-    gens, tab = ctx13
+    gens, _ = ctx13
     G = gens.group
+    g_orbits, _ = orbit_lists(gens)
     rng = random.Random(2)
     for _ in range(20):
         h = G.random_element(rng)
-        img = image_points(G.perm_array(h), tab.g_orbits[0])
-        assert img.bit_count() == len(tab.g_orbits[0])
-        assert intersect_count(img, mask_of(tab.g_orbits[0])) \
-            + intersect_count(img, mask_of(tab.g_orbits[1])) == (gens.q + 1) // 2
+        img = image_points(G.perm_array(h), g_orbits[0])
+        assert img.bit_count() == len(g_orbits[0])
+        assert intersect_count(img, mask_of(g_orbits[0])) \
+            + intersect_count(img, mask_of(g_orbits[1])) == (gens.q + 1) // 2
 
 
 def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
     # outside D no h-, gh- or ah-image of a g-orbit is a g-orbit
-    for gens, tab in (ctx13, ctx25, ctx27, ctx37):
+    for gens, _ in (ctx13, ctx25, ctx27, ctx37):
         G = gens.group
+        g_orbits, _ = orbit_lists(gens)
         rng = random.Random(4)
-        orbit_masks = {mask_of(o) for o in tab.g_orbits}
+        orbit_masks = {mask_of(o) for o in g_orbits}
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
-            for base in (h, G.conj_pow(gens.g, h)):
-                img = [image_points(G.perm_array(base), o) for o in tab.g_orbits]
+            for base in (h, conj_pow(G, gens.g, h)):
+                img = [image_points(G.perm_array(base), o) for o in g_orbits]
                 for mask in img:
                     assert mask not in orbit_masks
                 for mover in (gens.g, gens.a):

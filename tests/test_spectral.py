@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import mpmath
@@ -15,7 +17,7 @@ from psl2units.spectral import (
 )
 
 from bitmask_oracle import balance_table, intersection_counts
-from conftest import _context, random_outside_dihedralizer
+from conftest import _context, cached_context, random_outside_dihedralizer
 
 
 # -- cyclotomic coefficients --------------------------------------------------
@@ -169,7 +171,7 @@ def test_paired_displacement_image_and_kernel(ctx13):
     gens, tab = ctx13
     G = gens.group
     rng = random.Random(3)
-    phi = np.array([1 if tab.g_index[x] == 0 else -1 for x in range(G.n_points)])
+    phi = np.where(tab.glabel == 1, 1, -1)
     for _ in range(20):
         h = random_outside_dihedralizer(gens, rng)
         tau = nilpotent_part(G, paired_companion(gens, h))
@@ -199,8 +201,8 @@ def test_projection_coeffs_zero_vector(ctx13):
     rng = random.Random(4)
     h = random_outside_dihedralizer(gens, rng)
     zero = [0] * G.n_points
-    phi = [1 if tab.g_index[x] == 0 else -1 for x in range(G.n_points)]
-    assert vanishes(projection_coeffs(gens, tab, h, zero, phi))
+    phi = [1 if label == 1 else -1 for label in tab.glabel.tolist()]
+    assert vanishes(projection_coeffs(gens, np.array(G.perm_array(h)), zero, phi))
 
 
 def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
@@ -211,9 +213,10 @@ def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
         p = gens.p
         for _ in range(15):
             h = random_outside_dihedralizer(gens, rng)
-            psi, phi = _odd_vectors(gens, tab, h)
-            c = projection_coeffs(gens, tab, h, psi, phi)
-            counts = intersection_counts(gens, tab, h)
+            perm_h = np.array(gens.group.perm_array(h))
+            psi, phi = _odd_vectors(tab, perm_h)
+            c = projection_coeffs(gens, perm_h, psi, phi)
+            counts = intersection_counts(gens, h)
 
             def diff(b):
                 return (counts.mb[b % p][0][0][1] + counts.mb[-b % p][0][0][1]
@@ -294,7 +297,7 @@ def test_certificate_matches_balance_criterion(ctx13, ctx25, ctx27, ctx37):
         for _ in range(250):
             h = random_outside_dihedralizer(gens, rng)
             cert = exact_certificate(gens, tab, h, k, m)
-            unbalanced = not all(balance_table(gens, tab, h).values())
+            unbalanced = not all(balance_table(gens, h).values())
             assert cert.ok == unbalanced
             totals[cert.ok] += 1
     assert totals[True] > 0 and totals[False] > 0
@@ -363,3 +366,29 @@ def test_oracle_agreement_on_mixed_outcomes(ctx27):
         res = numeric_oracle(gens, tab, h, k, m)
         assert cert.ok == res.ok
         outcomes[cert.ok] += 1
+
+
+# -- pinned certificates ----------------------------------------------------------
+
+# balanced h (no unbalanced shift, so the certificate refuses them)
+BALANCED = {27: [(13, 14, 22, 25), (9, 17, 9, 12)], 83: [(11, 36, 10, 63), (4, 49, 0, 21)]}
+# sha256 over the json of exact_certificate(...).as_dict() on five seeded h
+# outside D at q = 13, 27 and 83 each, the balanced h above and the q = 16
+# recipe elements at x0 = 0, 1, 2, as computed when the certificate read its
+# vectors and profiles from per-point loops over the orbit table's lists
+CERTIFICATES_SHA256 = "778e95b96656156e3bdb68e17e8c025cba4d4ec73e29b395d72b26917bddb442"
+
+
+def test_exact_certificates_pinned(ctx13, ctx16, ctx27):
+    dicts = []
+    for gens, tab in (ctx13, ctx27, cached_context(83, 1, 7)):
+        rng = random.Random(gens.q)
+        hs = [random_outside_dihedralizer(gens, rng) for _ in range(5)]
+        certs = [exact_certificate(gens, tab, h, 2, 21) for h in hs + BALANCED.get(gens.q, [])]
+        assert [c.ok for c in certs[5:]] == [False] * len(certs[5:])
+        dicts += [c.as_dict() for c in certs]
+    gens, tab = ctx16
+    dicts += [exact_certificate(gens, tab, recipe_element(gens, x0), 2, 272).as_dict()
+              for x0 in range(3)]
+    blob = json.dumps(dicts, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CERTIFICATES_SHA256
