@@ -12,11 +12,18 @@ orthogonality test reduces to constancy of integer sequences
 magnitudes, where only the ordering matters and the gaps are large, and
 in the independent dense oracle used to cross-check the exact verdict.
 
-Besides the permutations of the support of the displacement, the exact
-certificate builds two permutation rows, of h and of a: the image vector,
-the kernel functional, the profiles along the a-orbits and the projection
-coefficients are numpy gathers from them and from the orbit table's
-arrays (g^-1, the g-orbit labels and the a-orbits in a-power order).
+The exact certificate reads everything from at most four permutation
+rows.  The displacement tau = rho(v - 1) of the candidate
+v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j, built by
+``row_displacement`` from the rows of x and y alone, since the action is
+a homomorphism: (x, y) = (g, h) for odd q and (sigma, g) for even q.
+The image vector, the kernel functional, the profiles along the a-orbits
+and the projection coefficients are numpy gathers from the rows of h and
+a and from the orbit table's arrays (g^-1, the g-orbit labels and the
+a-orbits in a-power order).  Once tau = psi phi^T is checked exactly, its
+rank is 1 iff psi and phi are nonzero.  The group ring route
+(``nilpotent_part`` of ``paired_companion`` or ``sigma_companion``, and
+``integer_rank``) is the dense oracle's and the tests'.
 """
 
 from __future__ import annotations
@@ -69,6 +76,24 @@ def unit_matrix(group: PSL2, w: GroupRingElement) -> np.ndarray:
 def nilpotent_part(group: PSL2, v: GroupRingElement) -> np.ndarray:
     """(v - 1) under the permutation representation."""
     return unit_matrix(group, v - 1)
+
+
+def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray) -> np.ndarray:
+    """(I - P_x) P_y sum_j P_x^j, the image of (1 - x) y xhat, from the rows
+    of x and y: column c gains e_(y x^j c) - e_(x y x^j c) for every j below
+    the order of x, found by walking x's row back to the identity."""
+    n = len(perm_x)
+    cols = np.arange(n)
+    tau = np.zeros((n, n), dtype=np.int64)
+    cur = cols  # the row of x^j
+    for _ in range(n):
+        img = perm_y[cur]
+        tau[img, cols] += 1
+        tau[perm_x[img], cols] -= 1
+        cur = perm_x[cur]
+        if np.array_equal(cur, cols):
+            return tau
+    raise InvariantViolated(f"x does not return to the identity within {n} steps")
 
 
 def sigma_companion(gens: CanonicalGenerators) -> GroupRingElement:
@@ -275,17 +300,27 @@ def _profile_varies(tab: OrbitTable, perm_h: np.ndarray, vec: np.ndarray) -> boo
     return bool((prof != prof[:, :1]).any())
 
 
-def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int):
+def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int,
+                  perm_h: np.ndarray | None = None):
     """Parity of q, eigen data of the Bass unit and the dense displacement
-    tau of the candidate that the certificates pair with it."""
+    tau = rho(v - 1) of the candidate v that the certificates pair with it:
+    1 + (1 - g) h ghat for odd q (h must avoid the dihedralizer) and
+    1 + (1 - sigma) g sigmahat for even q.  Given the row perm_h of h, tau
+    comes from ``row_displacement`` over the rows of (g, h) or (sigma, g);
+    without it, from the group ring, which is the dense oracle's route."""
     group = gens.group
     parity = "even" if gens.q % 2 == 0 else "odd"
     ed = eigen_data(gens.p, k, m)
-    if parity == "even":
-        return parity, ed, nilpotent_part(group, sigma_companion(gens))
-    if group.in_dihedralizer(h, gens.g):
+    if parity == "odd" and group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>")
-    return parity, ed, nilpotent_part(group, paired_companion(gens, h))
+    if perm_h is None:
+        v = sigma_companion(gens) if parity == "even" else paired_companion(gens, h)
+        return parity, ed, nilpotent_part(group, v)
+    if parity == "even":
+        x, perm_y = gens.sigma, np.array(group.perm_array(gens.g))
+    else:
+        x, perm_y = gens.g, perm_h
+    return parity, ed, row_displacement(np.array(group.perm_array(x)), perm_y)
 
 
 def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
@@ -298,8 +333,8 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     recomputed, never assumed; the contingent condition is whether the
     extreme projections of the image vector escape the kernel hyperplane.
     """
-    parity, ed, tau = _displacement(gens, h, k, m)
     perm_h = np.array(gens.group.perm_array(h))
+    parity, ed, tau = _displacement(gens, h, k, m, perm_h)
     psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
     if (tau @ tau).any():
@@ -308,7 +343,7 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
         raise InvariantViolated("displacement must factor through the expected image vector")
     if phi @ psi != 0:
         raise InvariantViolated("image vector must lie in the kernel hyperplane")
-    rank = integer_rank(tau)
+    rank = int(psi.any() and phi.any())  # the rank of psi phi^T, which tau equals
     if rank != 1:
         raise InvariantViolated(f"displacement has rank {rank}, not 1")
 
@@ -414,7 +449,10 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     Builds the closed-form eigenbasis of the conjugated Bass unit action,
     the displacement matrix, the kernel overlaps W, and checks the four
     intersections in the quotient by rank computations with singular
-    values thresholded at tol times the largest.
+    values thresholded at tol times the largest.  The displacement comes
+    from the group ring (``nilpotent_part`` of the candidate), not from the
+    permutation rows the exact certificate builds it from, so the two
+    routes share no builder.
     """
     group = gens.group
     q = gens.q

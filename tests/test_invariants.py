@@ -45,11 +45,22 @@ def test_corrupted_counts_are_rejected(ctx13):
 
 
 def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
+    # the rank is read off the checked factorisation tau = psi phi^T: a zero
+    # image vector with a zero displacement factors, squares to zero and
+    # lies in the kernel, and must still be refused as rank 0
     gens, tab = ctx13
     h = random_outside_dihedralizer(gens, random.Random(6))
     assert spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank == 1
-    monkeypatch.setattr(spectral, "integer_rank", lambda mat: 2)
-    with pytest.raises(InvariantViolated, match="rank 2"):
+    true_vectors = spectral._odd_vectors
+
+    def zero_image(tab, perm_h):
+        psi, phi = true_vectors(tab, perm_h)
+        return 0 * psi, phi
+
+    monkeypatch.setattr(spectral, "row_displacement",
+                        lambda perm_x, perm_y: np.zeros((len(perm_x),) * 2, dtype=np.int64))
+    monkeypatch.setattr(spectral, "_odd_vectors", zero_image)
+    with pytest.raises(InvariantViolated, match="rank 0, not 1"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 
@@ -58,14 +69,24 @@ def test_certificate_rejects_a_wrong_displacement(ctx13, monkeypatch):
     # assuming them
     gens, tab = ctx13
     h = random_outside_dihedralizer(gens, random.Random(6))
-    true_part = spectral.nilpotent_part
-    monkeypatch.setattr(spectral, "nilpotent_part", lambda group, v: 2 * true_part(group, v))
+    true_rows = spectral.row_displacement
+    monkeypatch.setattr(spectral, "row_displacement",
+                        lambda perm_x, perm_y: 2 * true_rows(perm_x, perm_y))
     with pytest.raises(InvariantViolated, match="factor through"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
-    monkeypatch.setattr(spectral, "nilpotent_part",
-                        lambda group, v: true_part(group, v) + np.eye(group.n_points, dtype=np.int64))
+    monkeypatch.setattr(spectral, "row_displacement",
+                        lambda perm_x, perm_y: true_rows(perm_x, perm_y)
+                        + np.eye(len(perm_x), dtype=np.int64))
     with pytest.raises(InvariantViolated, match="square to zero"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
+
+
+def test_certificate_rejects_an_order_that_does_not_close(ctx13):
+    # the walk along x's row stops after n steps: a row that is no
+    # permutation of finite order below n + 1 is refused
+    perm_x = np.array([1, 2, 0, 0])  # maps 3 into the cycle, never back
+    with pytest.raises(InvariantViolated, match="within 4 steps"):
+        spectral.row_displacement(perm_x, np.arange(4))
 
 
 def test_orbits_of_a_wrong_g_are_rejected(ctx13):
@@ -162,6 +183,27 @@ try:
 except InvariantViolated as exc:
     print("shift 0" in str(exc))
 """) == "True"
+
+
+def test_factorisation_check_survives_python_O():
+    # a displacement built twice too large squares to zero but does not
+    # factor through the image vector
+    assert _rejected_under_python_O("""
+from psl2units import spectral
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
+tab = build_orbits(gens)
+h = (1, 2, 1, 3)
+print(spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank)
+true_rows = spectral.row_displacement
+spectral.row_displacement = lambda perm_x, perm_y: 2 * true_rows(perm_x, perm_y)
+try:
+    spectral.exact_certificate(gens, tab, h, 2, 21)
+except InvariantViolated as exc:
+    print("factor through" in str(exc))
+""") == "1\nTrue"
 
 
 def test_unit_matrix_guard_survives_python_O():

@@ -5,15 +5,17 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psl2units.engine import ConditionEngine
 from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec
-from psl2units.group_ring import GroupRingElement, bass_unit
+from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
 from psl2units.projective import INF
 from psl2units.spectral import (
     diagonalizer_identities, eigen_data, exact_certificate, integer_rank,
     nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
-    projection_coeffs, recipe_element, sigma_companion, unit_matrix, vanishes,
+    projection_coeffs, recipe_element, row_displacement, sigma_companion, unit_matrix,
+    vanishes,
 )
 
 from bitmask_oracle import balance_table, intersection_counts
@@ -183,6 +185,62 @@ def test_paired_displacement_image_and_kernel(ctx13):
         psi = np.array(next(iter(cols)))
         assert phi @ psi == 0  # image vector inside the kernel
         assert np.array_equal(tau @ psi, np.zeros(G.n_points, dtype=np.int64))
+
+
+# -- the displacement from permutation rows against the group ring ------------------
+
+
+def _row(G, m):
+    return np.array(G.perm_array(m))
+
+
+def test_row_displacement_matches_group_ring_on_all_h_q13(ctx13):
+    gens, _ = ctx13
+    G = gens.group
+    perm_g = _row(G, gens.g)
+    count = 0
+    for h in G.enumerate_elements():
+        if G.in_dihedralizer(h, gens.g):
+            continue
+        assert np.array_equal(row_displacement(perm_g, _row(G, h)),
+                              nilpotent_part(G, paired_companion(gens, h)))
+        count += 1
+    assert count == 1078
+
+
+@pytest.mark.parametrize("field", [(3, 3, 7), (83, 1, 7), (5, 3, 7)], ids=["27", "83", "125"])
+def test_row_displacement_matches_group_ring_on_seeded_h(field):
+    gens, _ = cached_context(*field)
+    G = gens.group
+    perm_g = _row(G, gens.g)
+    rng = random.Random(gens.q)
+    for _ in range(5):
+        h = random_outside_dihedralizer(gens, rng)
+        assert np.array_equal(row_displacement(perm_g, _row(G, h)),
+                              nilpotent_part(G, paired_companion(gens, h)))
+
+
+@pytest.mark.parametrize("field", [(2, 4, 17), (2, 5, 11), (2, 6, 13)], ids=["16", "32", "64"])
+def test_row_displacement_matches_sigma_companion(field):
+    gens, _ = cached_context(*field)
+    G = gens.group
+    assert np.array_equal(row_displacement(_row(G, gens.sigma), _row(G, gens.g)),
+                          nilpotent_part(G, sigma_companion(gens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([(13, 1, 7), (5, 2, 13), (3, 3, 7), (2, 4, 17), (2, 3, 3)]),
+       x_name=st.sampled_from(["g", "sigma", "a"]), seed=st.integers(0, 2 ** 32))
+def test_row_displacement_is_the_group_ring_image(field, x_name, seed):
+    # (1 - x) y xhat for x of every order the generators have and any y,
+    # over prime, extension and char 2 fields; y in the dihedralizer of x
+    # gives the zero matrix on both routes
+    gens, _ = cached_context(*field)
+    G = gens.group
+    x = getattr(gens, x_name)
+    y = G.random_element(random.Random(seed))
+    assert np.array_equal(row_displacement(_row(G, x), _row(G, y)),
+                          nilpotent_part(G, bicyclic_right(G, x, y)))
 
 
 def test_integer_rank_small_cases():
@@ -392,3 +450,24 @@ def test_exact_certificates_pinned(ctx13, ctx16, ctx27):
               for x0 in range(3)]
     blob = json.dumps(dicts, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == CERTIFICATES_SHA256
+
+
+# sha256 over the json of exact_certificate(...).as_dict() on five seeded h
+# outside D at q = 125, the largest q of the benchmark's certify workload,
+# and the recipe elements at x0 = 0, 1, 2 for (q, p) = (32, 11) and (64, 13),
+# as computed when the certificate built tau from the group ring
+CERTIFICATES_LARGE_SHA256 = "8d9a7b40d845557fafa0eff09437af20502968e66af8e62ce0510db2defb0225"
+
+
+def test_exact_certificates_pinned_at_q125_and_even_recipes():
+    gens, tab = cached_context(5, 3, 7)
+    rng = random.Random(gens.q)
+    dicts = [exact_certificate(gens, tab, random_outside_dihedralizer(gens, rng), 2, 21).as_dict()
+             for _ in range(5)]
+    for l, r, p, m in ((2, 5, 11, 110), (2, 6, 13, 156)):
+        gens, tab = cached_context(l, r, p)
+        dicts += [exact_certificate(gens, tab, recipe_element(gens, x0), 2, m).as_dict()
+                  for x0 in range(3)]
+    assert all(d["ok"] and d["tau_rank"] == 1 for d in dicts)
+    blob = json.dumps(dicts, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CERTIFICATES_LARGE_SHA256
