@@ -20,6 +20,8 @@ P5_EXCEPTIONAL = "P5_EXCEPTIONAL"
 ORDER_CONDITION = "ORDER_CONDITION"
 FAILS = "FAILS"
 
+BRUTE_FORCE_BOUND = 2000  # largest group order dpc_brute_force exhausts
+
 
 @dataclass(frozen=True)
 class DpcVerdict:
@@ -84,7 +86,7 @@ def _closure_reaches(group: PSL2, gens: list[Element], full_size: int) -> bool:
     return len(els) == full_size
 
 
-def dpc_brute_force(q: int, p: int, bound: int = 2000) -> bool:
+def dpc_brute_force(q: int, p: int) -> bool:
     """Check the dihedral p-critical definition by exhaustion.
 
     Picks an element a of order p, computes its dihedralizer D, and
@@ -94,8 +96,8 @@ def dpc_brute_force(q: int, p: int, bound: int = 2000) -> bool:
     l, r = prime_power_decomposition(q)
     group = PSL2(make_field(l, r))
     n = group.order()
-    if n > bound:
-        raise GroupTooLarge(f"|PSL(2,{q})| = {n} exceeds bound {bound}")
+    if n > BRUTE_FORCE_BOUND:
+        raise GroupTooLarge(f"|PSL(2,{q})| = {n} exceeds bound {BRUTE_FORCE_BOUND}")
     if n % p != 0:
         raise NoElementOfOrderP(f"p={p} does not divide |PSL(2,{q})| = {n}")
     elements = list(group.enumerate_elements())
@@ -106,9 +108,9 @@ def dpc_brute_force(q: int, p: int, bound: int = 2000) -> bool:
     return all(_closure_reaches(group, [a, x], n) for x in outside)
 
 
-def dpc_verdict(q: int, p: int, brute: bool = False, bound: int = 2000) -> DpcVerdict:
+def dpc_verdict(q: int, p: int, brute: bool = False) -> DpcVerdict:
     v = dpc_predicate(q, p)
     if not brute:
         return v
     return DpcVerdict(q=v.q, p=v.p, predicate=v.predicate, reason=v.reason,
-                      witnessed=dpc_brute_force(q, p, bound))
+                      witnessed=dpc_brute_force(q, p))

@@ -14,7 +14,8 @@ add and mul tables, gathered from the exp, log and Zech tables of a
 primitive element of F_q, and length-q inv and neg tables, all from the
 field's own arithmetic; F_{q^2} elements are (lo, hi) pairs in the basis
 of ``QuadraticExtension``.  Surveys and censuses are bit-identical to a
-full enumeration of G - D (in the tests).
+full enumeration of G - D (in the tests); they evaluate CHUNK_ROWS rows
+at a time, so their per-batch arrays do not grow with the row count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ from .criteria import orbit_layers, orbit_sums, shift_sums
 from .errors import InvariantViolated
 from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element
+
+CHUNK_ROWS = 256  # rows a survey or census evaluates in one batch
+
+
+def _in_chunks(batch, rows):
+    """``batch`` over CHUNK_ROWS rows at a time, its outputs concatenated,
+    so that its (rows x points) arrays stay bounded as q grows."""
+    parts = [batch(rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS)]
+    return [np.concatenate(out) for out in zip(*parts)]
 
 
 @dataclass
@@ -284,7 +294,7 @@ class ConditionEngine:
         the first satisfied element in enumeration order.
         """
         reps, keys = self._representatives()
-        ok, _, _ = self.condition_batch(reps)
+        ok, _, _ = _in_chunks(self.condition_batch, reps)
         weight = ((self.q + 1) // 2) ** 2
         first_h, first_tries = None, 0
         wanted = set(keys[ok].tolist())
@@ -305,7 +315,7 @@ class ConditionEngine:
     def census(self) -> Census:
         """Orbit-sum and unbalanced counts over G - D, one row per double coset."""
         reps, _ = self._representatives()
-        differs, _, _, unb = self.criteria_batch(reps)
+        differs, _, _, unb = _in_chunks(self.criteria_batch, reps)
         weight = ((self.q + 1) // 2) ** 2
         return Census(total=len(reps) * weight, orbit_sum=int(differs.sum()) * weight,
                       unbalanced=int(unb.sum()) * weight)

@@ -11,7 +11,8 @@ beta) is made by deterministic enumeration, so everything derived
 downstream (generators, orbits, sweep records) is reproducible bit for
 bit.  The modulus of F_q over its prime field is the first monic
 irreducible of degree r when coefficient tuples are compared
-low-degree-first; F_{q^2} is a degree-2 extension of F_q (X^2 - c with
+low-degree-first, found by trial division by every monic polynomial of
+degree at most r/2; F_{q^2} is a degree-2 extension of F_q (X^2 - c with
 c the first non-square for odd q, X^2 + X + c with c the first element
 of absolute trace 1 for even q), which keeps Frobenius, norm and trace
 one-line operations.
@@ -120,7 +121,7 @@ def _pmod(a, f, l):
     return _ptrim(a)
 
 
-def _pmul(a, b, l):
+def _pmulmod(a, b, f, l):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -128,11 +129,7 @@ def _pmul(a, b, l):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % l
-    return _ptrim(out)
-
-
-def _pmulmod(a, b, f, l):
-    return _pmod(_pmul(a, b, l), f, l)
+    return _pmod(out, f, l)
 
 
 def _ppowmod(base, e, f, l):
@@ -146,64 +143,20 @@ def _ppowmod(base, e, f, l):
     return result
 
 
-def _pgcd(a, b, l):
-    while b:
-        a, b = b, _prem(a, b, l)
-    return a
-
-
-def _prem(a, b, l):
-    # remainder of a by (possibly non-monic) b over F_l
-    b = _ptrim(b)
-    inv_lead = pow(b[-1], l - 2, l) if b[-1] != 1 else 1
-    monic = tuple((c * inv_lead) % l for c in b)
-    return _pmod(a, monic, l)
-
-
-def _is_irreducible(f, l):
-    """Monic f of degree r is irreducible over F_l iff X^(l^r) = X mod f
-    and gcd(f, X^(l^(r/s)) - X) = 1 for every prime s dividing r."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    x = (0, 1)
-    t = x
-    powers = {}
-    for i in range(1, r + 1):
-        t = _ppowmod(t, l, f, l)
-        powers[i] = t
-    if powers[r] != x:
-        return False
-    for s in factorize(r):
-        g = _psub(powers[r // s], x, l)
-        if len(_pgcd(f, g, l)) != 1:  # any common factor of positive degree
-            return False
-    return True
-
-
-def _psub(a, b, l):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca - cb) % l
-    return _ptrim(out)
-
-
 def _smallest_modulus(l: int, r: int) -> tuple[int, ...]:
     """First monic irreducible of degree r, low coefficients compared first.
 
     Returns the tuple (c_0, ..., c_{r-1}) of the non-leading coefficients;
-    the modulus is X^r + sum(c_i X^i).  Degree 1 uses the X - 0 convention.
+    the modulus is X^r + sum(c_i X^i), irreducible iff no monic polynomial
+    of degree 1..r/2 divides it (trial division).  Degree 1 gives X, the
+    (0,) of ``PrimeField``.
     """
-    if r == 1:
-        return (0,)
+    divisors = [low + (1,) for d in range(1, r // 2 + 1)
+                for low in itertools.product(range(l), repeat=d)]
     for low in itertools.product(range(l), repeat=r):
-        f = low + (1,)
-        if _is_irreducible(f, l):
+        if all(_pmod(low + (1,), g, l) for g in divisors):
             return low
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantViolated(f"no monic irreducible of degree {r} over F_{l}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +186,13 @@ class Field:
         for x in range(1, self.q):
             if not self.is_square(x):
                 return x
-        raise AssertionError("no non-square in odd field")
+        raise InvariantViolated(f"F_{self.q} has no non-square")
 
     def first_primitive(self):
         for x in range(1, self.q):
             if self.element_order(x) == self.q - 1:
                 return x
-        raise AssertionError("cyclic group has a generator")
+        raise InvariantViolated(f"F_{self.q}* has no generator, though it is cyclic")
 
 
 class PrimeField(Field):
@@ -445,7 +398,7 @@ class QuadraticExtension:
                 acc = fq.add(acc, t)
             if acc == 1:
                 return c
-        raise AssertionError("absolute trace is onto F_2")
+        raise InvariantViolated(f"F_{fq.q} has no element of absolute trace 1")
 
     zero = (0, 0)
     one = (1, 0)

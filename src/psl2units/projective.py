@@ -47,7 +47,7 @@ class PSL2:
                 if e > fq.neg(e):
                     return (fq.neg(m[0]), fq.neg(m[1]), fq.neg(m[2]), fq.neg(m[3]))
                 return m
-        raise AssertionError("zero matrix is not a group element")
+        raise InvariantViolated("the zero matrix is not a group element")
 
     def make(self, a11: int, a12: int, a21: int, a22: int) -> Element:
         """Validate determinant 1 and return the canonical representative."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def integer_rank(mat: np.ndarray) -> int:
 # Eigenvalue data of the Bass unit
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenData:
     """Magnitudes of the Bass unit evaluated at the p-th roots of unity.
 
@@ -145,17 +146,19 @@ class EigenData:
     p: int
     k: int
     m: int
-    values: list
+    values: tuple
     b_plus: int
     b_minus: int
 
 
+@lru_cache(maxsize=None)
 def eigen_data(p: int, k: int, m: int) -> EigenData:
     """Magnitudes |u(zeta^b)| = |sin(pi k b/p) / sin(pi b/p)|^m.
 
     Requires k outside {0, 1, -1} mod p, k^m = 1 mod p and p | m; under
     these the magnitudes are pairwise distinct and the extremes are
-    attained away from b = 0.
+    attained away from b = 0.  Cached per (p, k, m); a spec that fails a
+    check raises on every call, as nothing is cached for it.
     """
     if k % p in (0, 1, p - 1):
         raise InvalidSpec(f"k={k} is 0 or +-1 mod {p}")
@@ -181,7 +184,7 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         if not values[b_plus] > 1 > values[b_minus]:
             raise InvariantViolated(f"p={p}, k={k}, m={m}: an extreme magnitude "
                                     "is attained at b = 0")
-    return EigenData(p=p, k=k, m=m, values=values, b_plus=b_plus, b_minus=b_minus)
+    return EigenData(p=p, k=k, m=m, values=tuple(values), b_plus=b_plus, b_minus=b_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +381,8 @@ def recipe_element(gens: CanonicalGenerators, x0: int) -> Element:
 # ---------------------------------------------------------------------------
 # Dense numeric oracle
 
+NUMERIC_TOL = 1e-8  # singular values below this times the largest count as zero
+
 
 @dataclass
 class NumericCertificate:
@@ -399,60 +404,56 @@ class NumericCertificate:
         return asdict(self)
 
 
-def _orth(cols: np.ndarray, tol: float) -> np.ndarray:
+def _numeric_rank(s: np.ndarray) -> int:
+    """Singular values s (descending) above NUMERIC_TOL times the largest."""
+    return int((s > NUMERIC_TOL * s[0]).sum()) if s.size and s[0] else 0
+
+
+def _orth(cols: np.ndarray) -> np.ndarray:
     if cols.shape[1] == 0:
         return cols
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return cols[:, :0]
-    rank = int((s > tol * s[0]).sum())
-    return u[:, :rank]
-
-def _nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0:
-        rank = 0
-    else:
-        rank = int((s > tol * s[0]).sum())
-    return vh[rank:].conj().T
+    return u[:, :_numeric_rank(s)]
 
 
-def _rank(cols: np.ndarray, tol: float) -> int:
+def _nullspace(mat: np.ndarray) -> np.ndarray:
+    _, s, vh = np.linalg.svd(mat)
+    return vh[_numeric_rank(s):].conj().T
+
+
+def _rank(cols: np.ndarray) -> int:
     if cols.shape[1] == 0:
         return 0
-    s = np.linalg.svd(cols, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int((s > tol * s[0]).sum())
+    return _numeric_rank(np.linalg.svd(cols, compute_uv=False))
 
 
-def _intersection_dim(a: np.ndarray, b: np.ndarray, tol: float) -> int:
-    ra, rb = _rank(a, tol), _rank(b, tol)
+def _intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
+    ra, rb = _rank(a), _rank(b)
     if ra == 0 or rb == 0:
         return 0
-    return ra + rb - _rank(np.hstack([a, b]), tol)
+    return ra + rb - _rank(np.hstack([a, b]))
 
 
-def _intersection_basis(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _intersection_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0 or b.shape[1] == 0:
         return a[:, :0]
-    null = _nullspace(np.hstack([a, -b]), tol)
+    null = _nullspace(np.hstack([a, -b]))
     if null.shape[1] == 0:
         return a[:, :0]
-    return _orth(a @ null[:a.shape[1], :], tol)
+    return _orth(a @ null[:a.shape[1], :])
 
 
 def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
-                   k: int, m: int, tol: float = 1e-8) -> NumericCertificate:
+                   k: int, m: int) -> NumericCertificate:
     """Dense complex-arithmetic re-derivation of the exact certificate.
 
     Builds the closed-form eigenbasis of the conjugated Bass unit action,
     the displacement matrix, the kernel overlaps W, and checks the four
     intersections in the quotient by rank computations with singular
-    values thresholded at tol times the largest.  The displacement comes
-    from the group ring (``nilpotent_part`` of the candidate), not from the
-    permutation rows the exact certificate builds it from, so the two
-    routes share no builder.
+    values thresholded at NUMERIC_TOL times the largest.  The displacement
+    comes from the group ring (``nilpotent_part`` of the candidate), not
+    from the permutation rows the exact certificate builds it from, so the
+    two routes share no builder.
     """
     group = gens.group
     q = gens.q
@@ -478,29 +479,29 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
                 minus_cols.append(col)
             else:
                 zero_cols.append(col)
-    v_plus = _orth(np.array(plus_cols).T, tol)
-    v_minus = _orth(np.array(minus_cols).T, tol)
-    v_zero = _orth(np.array(zero_cols).T, tol)
+    v_plus = _orth(np.array(plus_cols).T)
+    v_minus = _orth(np.array(minus_cols).T)
+    v_zero = _orth(np.array(zero_cols).T)
 
-    kernel = _nullspace(tau, tol)
-    w_parts = [_intersection_basis(v_plus, kernel, tol),
-               _intersection_basis(v_minus, kernel, tol)]
-    w = _orth(np.hstack(w_parts), tol)
+    kernel = _nullspace(tau)
+    w_parts = [_intersection_basis(v_plus, kernel),
+               _intersection_basis(v_minus, kernel)]
+    w = _orth(np.hstack(w_parts))
     proj = np.eye(n, dtype=complex) - w @ w.conj().T
 
-    vb_plus = _orth(proj @ v_plus, tol)
-    vb_minus = _orth(proj @ v_minus, tol)
-    vb_zero = _orth(proj @ v_zero, tol)
+    vb_plus = _orth(proj @ v_plus)
+    vb_minus = _orth(proj @ v_minus)
+    vb_zero = _orth(proj @ v_zero)
     tau_bar = proj @ tau
-    ker_bar = _orth(proj @ _nullspace(tau_bar, tol), tol)
-    im_bar = _orth(tau_bar, tol)
+    ker_bar = _orth(proj @ _nullspace(tau_bar))
+    im_bar = _orth(tau_bar)
 
-    c1 = _intersection_dim(vb_plus, ker_bar, tol) == 0
-    c2 = _intersection_dim(vb_minus, ker_bar, tol) == 0
-    sum_plus = _orth(np.hstack([vb_zero, vb_plus]), tol)
-    sum_minus = _orth(np.hstack([vb_zero, vb_minus]), tol)
-    c3 = _intersection_dim(im_bar, sum_plus, tol) == 0
-    c4 = _intersection_dim(im_bar, sum_minus, tol) == 0
+    c1 = _intersection_dim(vb_plus, ker_bar) == 0
+    c2 = _intersection_dim(vb_minus, ker_bar) == 0
+    sum_plus = _orth(np.hstack([vb_zero, vb_plus]))
+    sum_minus = _orth(np.hstack([vb_zero, vb_minus]))
+    c3 = _intersection_dim(im_bar, sum_plus) == 0
+    c4 = _intersection_dim(im_bar, sum_minus) == 0
 
     dims = {
         "V_plus": v_plus.shape[1], "V_minus": v_minus.shape[1],

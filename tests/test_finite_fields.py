@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from psl2units.errors import NotPrime, ZeroElement
 from psl2units.finite_fields import (
-    PrimePower, QuadraticExtension, build_setup, factorize, is_prime, make_field,
-    prime_power_decomposition,
+    PrimePower, QuadraticExtension, _smallest_modulus, build_setup, factorize, is_prime,
+    make_field, prime_power_decomposition,
 )
 
 
@@ -33,6 +37,55 @@ def test_f9_modulus_is_smallest_irreducible():
 def test_f25_modulus_matches_enumeration_oracle():
     fq = make_field(5, 2)
     assert fq.modulus == min(_irreducible_quadratics(5))
+
+
+# sha256 of json.dumps([[q, [c_0, ..., c_{r-1}]], ...]) over every prime
+# power 4 <= q < 10^4 in increasing order (1278 of them), the modulus
+# X^r + sum(c_i X^i) as found before trial division replaced Rabin's test
+MODULI_SHA256 = "46def53b80fe9e8a82e8cdfc94d3c78a432235704bb5873d0a14dfc73de459ec"
+
+
+def _prime_powers(lo, hi):
+    for q in range(lo, hi):
+        try:
+            yield PrimePower.from_q(q)
+        except ValueError:
+            pass
+
+
+def test_moduli_pinned_below_ten_thousand():
+    pairs = [[pp.q, list(_smallest_modulus(pp.l, pp.r))] for pp in _prime_powers(4, 10 ** 4)]
+    assert len(pairs) == 1278
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == MODULI_SHA256
+
+
+def _monic_products(l, r):
+    # every product of two monic polynomials of degrees d and r - d,
+    # 0 < d < r, as coefficient tuples, low degree first
+    def monic(d):
+        return [low + (1,) for low in itertools.product(range(l), repeat=d)]
+    out = set()
+    for d in range(1, r // 2 + 1):
+        for a in monic(d):
+            for b in monic(r - d):
+                c = [0] * (r + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        c[i + j] = (c[i + j] + x * y) % l
+                out.add(tuple(c))
+    return out
+
+
+def test_moduli_match_product_sieve():
+    # independent oracle: the first monic polynomial of degree r, low
+    # coefficients compared first, that is no product of lower degrees
+    fields = [pp for pp in _prime_powers(4, 1001) if pp.r > 1]
+    assert len(fields) == 25
+    for pp in fields:
+        reducible = _monic_products(pp.l, pp.r)
+        first = next(low for low in itertools.product(range(pp.l), repeat=pp.r)
+                     if low + (1,) not in reducible)
+        assert make_field(pp.l, pp.r).modulus == first, pp.q
 
 
 def test_f16_cardinality():

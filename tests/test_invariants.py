@@ -1,6 +1,7 @@
 """Checks that decide verdicts raise InvariantViolated, also under python -O,
 and the package imports without its heavy optional modules."""
 
+import ast
 import dataclasses
 import os
 import random
@@ -100,6 +101,7 @@ def test_orbits_of_a_wrong_g_are_rejected(ctx13):
 def test_eigen_data_rejects_collisions_and_misplaced_extremes(monkeypatch):
     import mpmath
     assert spectral.eigen_data(7, 2, 21).values[0] == 1
+    spectral.eigen_data.cache_clear()  # recompute under the patched sine below
     monkeypatch.setattr(mpmath, "sin", lambda x: mpmath.mpf(1))  # every magnitude 1
     with pytest.raises(InvariantViolated, match="magnitude collision at b=0,1"):
         spectral.eigen_data(7, 2, 21)
@@ -235,6 +237,24 @@ try:
 except InvariantViolated:
     print("rejected")
 """) == "6\nrejected"
+
+
+def test_src_has_no_assert():
+    # python -O strips assert statements, and an AssertionError reads as a
+    # test failure; unreachable states raise InvariantViolated instead
+    found = []
+    for path in sorted(Path(psl2units.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Assert)
+                    or isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_unreachable_states_raise_invariant_violated(ctx13):
+    gens, _ = ctx13
+    with pytest.raises(InvariantViolated, match="zero matrix"):
+        gens.group.normalize((0, 0, 0, 0))
 
 
 def test_import_loads_neither_mpmath_nor_process_pool():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -126,6 +127,17 @@ def test_eigen_data_rejects_bad_specs():
         eigen_data(7, 2, 20)   # 7 does not divide 20
     with pytest.raises(InvalidSpec):
         eigen_data(7, 3, 21)   # 3^21 != 1 mod 7
+
+
+def test_eigen_data_is_shared_and_frozen():
+    ed = eigen_data(7, 2, 21)
+    assert eigen_data(7, 2, 21) is ed
+    assert isinstance(ed.values, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ed.b_plus = 2
+    for _ in range(2):  # a failed spec is not cached: it raises every time
+        with pytest.raises(InvalidSpec):
+            eigen_data(7, 3, 21)
 
 
 # -- exact diagonalization ------------------------------------------------------
