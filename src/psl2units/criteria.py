@@ -95,7 +95,7 @@ def _perm_row(gens: CanonicalGenerators, h: Element) -> np.ndarray:
         raise ValueError("the criteria are defined for odd q")
     if gens.group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>; the companion unit is trivial")
-    return np.array(gens.group.perm_array(h))
+    return gens.group.perm_array(h)
 
 
 def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,

@@ -8,14 +8,15 @@ fixed point of g in F_{q^2}) turns them into classes of F_{q^2}*, so a
 survey or census builds one row per class from a primitive element of
 F_{q^2}, checks the rows by their keys and evaluates them, weighted by
 |T|^2.  The verdicts are the row functions of ``criteria`` applied to
-Moebius rows; the batch primitives that build those rows, test D
-membership and key the double cosets are vectorized with numpy over q x q
-add and mul tables, gathered from the exp, log and Zech tables of a
-primitive element of F_q, and length-q inv and neg tables, all from the
-field's own arithmetic; F_{q^2} elements are (lo, hi) pairs in the basis
-of ``QuadraticExtension``.  Surveys and censuses are bit-identical to a
-full enumeration of G - D (in the tests); they evaluate CHUNK_ROWS rows
-at a time, so their per-batch arrays do not grow with the row count.
+Moebius rows, which ``projective.mobius`` builds as it does for
+``perm_array``; those rows, the D membership test and the double-coset
+keys are vectorized with numpy over q x q add and mul tables and
+length-q inv and neg tables, each computed once by the field's own array
+ops (``add_array``, ``mul_array``, ``inv_array``); F_{q^2} elements are
+(lo, hi) pairs in the basis of ``QuadraticExtension``.  Surveys and
+censuses are bit-identical to a full enumeration of G - D (in the tests);
+they evaluate CHUNK_ROWS rows at a time, so their per-batch arrays do not
+grow with the row count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .criteria import orbit_layers, orbit_sums, shift_sums
 from .errors import InvariantViolated
 from .orbits import OrbitTable
-from .projective import CanonicalGenerators, Element
+from .projective import CanonicalGenerators, Element, mobius
 
 CHUNK_ROWS = 256  # rows a survey or census evaluates in one batch
 
@@ -78,24 +79,13 @@ class ConditionEngine:
         group = gens.group
         fq = group.fq
         self.q = q = gens.q
-        self.n_points = group.n_points
-        # exp and log of beta and the Zech table log(1 + beta^k) take O(q)
-        # field calls.  log(0) is 2(q-1), from where exp5 reads 0; zech is
-        # long enough for the zero row and column, whose add indices are then
-        # overwritten.  inv[0] is a junk slot, masked where a denominator may vanish
-        n = q - 1
-        exp = list(accumulate(repeat(gens.setup.beta, n - 1), fq.mul, initial=1))
-        log = np.full(q, 2 * n, dtype=np.int32)  # int32 halves the q x q index arrays
-        log[exp] = np.arange(n)
-        exp5 = np.array(exp * 2 + [0] * 3 * n, dtype=np.int64)
-        zech = np.array([log[fq.add(1, e)] for e in exp] * 4)
-        lx, ly = log[:, None], log[None, :]
-        self.mul = exp5[lx + ly]
-        idx = lx + zech[ly - lx + n]  # x + y = x (1 + y/x)
-        idx[0], idx[:, 0] = log, log  # 0 + y = y, x + 0 = x
-        self.add = exp5[idx]
-        self.inv = np.array([0] + [fq.inv(x) for x in range(1, q)], dtype=np.int64)
-        self.neg = np.array([fq.neg(x) for x in range(q)], dtype=np.int64)
+        # the field's array ops on every pair of encodings; inv[0] is a junk
+        # slot, masked where a denominator may vanish
+        self._enc = e = np.arange(q, dtype=np.int64)
+        self.add = fq.add_array(e[:, None], e)
+        self.mul = fq.mul_array(e[:, None], e)
+        self.inv = fq.inv_array(e)
+        self.neg = fq.mul_array(fq.neg(1), e)
 
         g = gens.g
         ginv = group.inverse(g)
@@ -105,7 +95,6 @@ class ConditionEngine:
             targets.add(tuple(neg(e) for e in g))
             targets.add(tuple(neg(e) for e in ginv))
         self._dihedral_targets = [np.array(t, dtype=np.int64) for t in targets]
-        self._enc = np.arange(q, dtype=np.int64)
         # xi = -alpha is the root of X^2 + tX + 1 in F_{q^2}, the fixed point
         # of g = (0, -1, 1, t); the Cayley map about xi turns <g> into
         # multiplication by the subgroup of order (q+1)/2 of F_{q^2}*
@@ -117,20 +106,11 @@ class ConditionEngine:
     # -- vectorized primitives ------------------------------------------
 
     def mobius_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Point-index permutation arrays, one row per matrix."""
-        add, mul, inv = self.add, self.mul, self.inv
-        a = mats[:, 0:1]
-        b = mats[:, 1:2]
-        c = mats[:, 2:3]
-        d = mats[:, 3:4]
-        e = self._enc[None, :]
-        num = add[mul[a, e], b]
-        den = add[mul[c, e], d]
-        img = mul[num, inv[den]]
-        perm = np.empty((mats.shape[0], self.n_points), dtype=np.int64)
-        perm[:, 1:] = np.where(den == 0, 0, img + 1)
-        perm[:, 0] = np.where(c[:, 0] == 0, 0, mul[a[:, 0], inv[c[:, 0]]] + 1)
-        return perm
+        """Point-index permutation arrays, one row per matrix: ``perm_array``'s
+        Moebius function on table gathers."""
+        add, mul = self.add, self.mul
+        return mobius(lambda x, y: add[x, y], lambda x, y: mul[x, y], self.inv.__getitem__,
+                      mats.T[:, :, None], *self.gens.group.coords)
 
     def in_dihedralizer_batch(self, mats: np.ndarray) -> np.ndarray:
         """Boolean mask: h g h^-1 lands in {g, g^-1} (up to sign)."""

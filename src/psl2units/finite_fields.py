@@ -16,6 +16,11 @@ degree at most r/2; F_{q^2} is a degree-2 extension of F_q (X^2 - c with
 c the first non-square for odd q, X^2 + X + c with c the first element
 of absolute trace 1 for even q), which keeps Frobenius, norm and trace
 one-line operations.
+
+Every field also has numpy arithmetic on int64 encoding arrays, with
+broadcasting: ``add_array``, ``mul_array`` and ``inv_array``, whose
+values agree with the scalar ``add``, ``mul`` and ``inv`` element by
+element; the value of ``inv_array`` at 0 is junk, for callers to mask.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .errors import InvariantViolated, NotPrime, ZeroElement
 
@@ -203,6 +210,14 @@ class PrimeField(Field):
         self.r = 1
         self.q = l
         self.modulus = (0,)
+        # the table of x^(l-2), by squaring: x^-1 for x != 0
+        x, inv, e = np.arange(l, dtype=np.int64), np.ones(l, dtype=np.int64), l - 2
+        while e:
+            if e & 1:
+                inv = inv * x % l
+            x = x * x % l
+            e >>= 1
+        self._inv_array = inv
 
     def add(self, x, y):
         return (x + y) % self.l
@@ -226,6 +241,15 @@ class PrimeField(Field):
             return pow(self.inv(x), -e, self.l)
         return pow(x, e, self.l)
 
+    def add_array(self, x, y):
+        return np.add(x, y, dtype=np.int64) % self.l
+
+    def mul_array(self, x, y):
+        return np.multiply(x, y, dtype=np.int64) % self.l
+
+    def inv_array(self, x):
+        return self._inv_array[x]
+
     def is_square(self, x):
         if self.l == 2 or x == 0:
             return True
@@ -238,9 +262,16 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """F_{l^r} for r >= 2, with exp/log (Zech) tables for O(1) arithmetic."""
+    """F_{l^r} for r >= 2, with exp/log (Zech) tables for O(1) arithmetic.
 
-    _ZERO_LOG = -1
+    With n = q - 1, log(0) is the sentinel 2n and the tables are laid out
+    so that zero operands need no test: ``exp`` repeats the n powers of
+    the generator twice and then reads 0 from index 2n on, and x + y is
+    exp[log x + zech[log y - log x + 2n]], where zech reads log(1 + g^k)
+    at offsets n..3n-1, log(y) - 2n below them (0 + y = y) and 0 above
+    them (x + 0 = x).  The scalar methods index the lists, the array
+    methods numpy copies of the same tables.
+    """
 
     def __init__(self, l: int, r: int):
         self.l = l
@@ -261,62 +292,45 @@ class ExtensionField(Field):
             return _ptrim(out)
 
         # multiplicative generator: first encoding of full order q-1
-        qm1 = self.q - 1
-        primes = list(factorize(qm1))
+        n = q - 1
+        primes = list(factorize(n))
         gen = None
         for e in range(2, q):
             cand = dec(e)
-            if all(_ppowmod(cand, qm1 // s, f, l) != (1,) for s in primes):
+            if all(_ppowmod(cand, n // s, f, l) != (1,) for s in primes):
                 gen = cand
                 break
         if gen is None:
             raise InvariantViolated(f"q={q}: no encoding generates F_q*")
 
-        exp = [0] * qm1
+        exp = [0] * n
         cur = (1,)
-        for i in range(qm1):
+        for i in range(n):
             exp[i] = enc(cur)
             cur = _pmulmod(cur, gen, f, l)
-        log = [self._ZERO_LOG] * q
+        log = [2 * n] * q
         for i, e in enumerate(exp):
             log[e] = i
-
-        def add_enc(x, y):
-            s = 0
-            for i in range(r):
-                s += ((x % l + y % l) % l) * pows[i]
-                x //= l
-                y //= l
-            return s
-
-        zech = [self._ZERO_LOG] * qm1
-        for k in range(qm1):
-            s = add_enc(1, exp[k])
-            zech[k] = log[s] if s else self._ZERO_LOG
+        # 1 + e changes only the lowest digit of e
+        zech = [log[e - e % l + (e + 1) % l] for e in exp]
         neg = [0] * q
         for e in range(1, q):
             neg[e] = sum(((l - d) % l) * pows[i] for i, d in enumerate(dec(e)))
-        inv = [0] * q
-        for e in range(1, q):
-            inv[e] = exp[(qm1 - log[e]) % qm1]
 
-        self.exp = exp
+        self.exp = exp * 2 + [0] * (2 * n + 1)
         self.log = log
-        self.zech = zech
+        self.zech = list(range(-2 * n, -n)) + zech * 2 + [0] * (n + 1)
         self.neg_table = neg
-        self.inv_table = inv
+        self.inv_table = [0] + [self.exp[n - log[e]] for e in range(1, q)]
+        # int32 halves the index arrays of a q x q operation
+        self._exp_array = np.array(self.exp, dtype=np.int64)
+        self._log_array = np.array(log, dtype=np.int32)
+        self._zech_array = np.array(self.zech, dtype=np.int32)
+        self._inv_array = np.array(self.inv_table, dtype=np.int64)
 
     def add(self, x, y):
-        if x == 0:
-            return y
-        if y == 0:
-            return x
-        qm1 = self.q - 1
         lx = self.log[x]
-        z = self.zech[(self.log[y] - lx) % qm1]
-        if z == self._ZERO_LOG:
-            return 0
-        return self.exp[(lx + z) % qm1]
+        return self.exp[lx + self.zech[self.log[y] - lx + 2 * self.q - 2]]
 
     def neg(self, x):
         return self.neg_table[x]
@@ -325,9 +339,7 @@ class ExtensionField(Field):
         return self.add(x, self.neg_table[y])
 
     def mul(self, x, y):
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
+        return self.exp[self.log[x] + self.log[y]]
 
     def inv(self, x):
         if x == 0:
@@ -343,6 +355,16 @@ class ExtensionField(Field):
             return 0
         return self.exp[(self.log[x] * e) % (self.q - 1)]
 
+    def add_array(self, x, y):
+        lx = self._log_array[x]
+        return self._exp_array[lx + self._zech_array[self._log_array[y] - lx + 2 * self.q - 2]]
+
+    def mul_array(self, x, y):
+        return self._exp_array[self._log_array[x] + self._log_array[y]]
+
+    def inv_array(self, x):
+        return self._inv_array[x]
+
     def is_square(self, x):
         if self.l == 2 or x == 0:
             return True
@@ -355,9 +377,14 @@ class ExtensionField(Field):
         return qm1 // gcd(qm1, self.log[x])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def make_field(l: int, r: int) -> Field:
-    """Field context for F_{l^r}; deterministic modulus, cached per (l, r)."""
+    """Field context for F_{l^r}; deterministic modulus, cached per (l, r).
+
+    The cache keeps the 16 fields used last: a sweep uses each field for
+    its consecutive pairs only, and the O(q) tables of every field below
+    q = 10^4 would take about 46 MB for the prime fields' inverses alone.
+    """
     if not is_prime(l):
         raise NotPrime(f"{l} is not prime")
     if r < 1:

@@ -36,7 +36,7 @@ class OrbitTable:
 def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     q = gens.q
     p, d, d_prime = gens.p, gens.d, gens.d_prime
-    perm_g = gens.group.perm_array(gens.g)
+    perm_g = gens.group.perm_array(gens.g).tolist()  # walked one point at a time
     n = q + 1
     orbit_len = p * d
 

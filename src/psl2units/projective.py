@@ -1,10 +1,14 @@
 """PSL(2,q) acting on the projective line P = F_q u {infinity}.
 
 Points are indexed 0..q: index 0 is the point at infinity and index
-x+1 is the field element with encoding x.  Group elements are 4-tuples
-(a11, a12, a21, a22) of field encodings with determinant 1, stored as
-the canonical representative of the pair {M, -M}: for odd q the first
-nonzero entry in scan order has the smaller encoding of its +- pair.
+x+1 is the field element with encoding x.  ``apply`` maps one point by
+the field's scalar arithmetic; ``perm_array`` maps all of them at once
+and returns an int64 ndarray, built by ``mobius`` from the field's numpy
+arithmetic, the function the survey engine runs on its table gathers.
+Group elements are 4-tuples (a11, a12, a21, a22) of field encodings with
+determinant 1, stored as the canonical representative of the pair
+{M, -M}: for odd q the first nonzero entry in scan order has the smaller
+encoding of its +- pair.
 """
 
 from __future__ import annotations
@@ -12,12 +16,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import InvariantViolated
 from .finite_fields import Field, FieldSetup, factorize, is_prime
 
 INF = 0  # point index of [1, 0]
 
 Element = tuple[int, int, int, int]
+
+
+def mobius(add, mul, inv, m, x, y):
+    """Point indices of m = (a, b, c, d) applied to the points [x : y],
+    [a x + b y : c x + d y], by the numpy field operations add, mul and
+    inv; entries of m may be scalars or columns, one per matrix.
+
+    y is 0 (infinity, x = 1) or 1, so b y and d y are integer products;
+    a zero denominator gives INF, which is index 0.
+    """
+    a, b, c, d = m
+    num = add(mul(a, x), b * y)
+    den = add(mul(c, x), d * y)
+    return (mul(num, inv(den)) + 1) * (den != 0)
 
 
 class PSL2:
@@ -30,6 +50,10 @@ class PSL2:
         self.n_points = self.q + 1
         self.identity: Element = (1, 0, 0, 1)
         self._sqrt = None
+        # homogeneous coordinates [x : y] of the point indices
+        x, y = np.arange(-1, self.q, dtype=np.int64), np.ones(self.n_points, dtype=np.int64)
+        x[INF], y[INF] = 1, 0
+        self.coords = (x, y)
 
     def order(self) -> int:
         q = self.q
@@ -74,16 +98,11 @@ class PSL2:
         num = fq.add(fq.mul(a, x), b)
         return fq.mul(num, fq.inv(den)) + 1
 
-    def perm_array(self, m: Element) -> list[int]:
-        """Image of every point index under m, as a list; the same list as
+    def perm_array(self, m: Element) -> np.ndarray:
+        """Image of every point index under m; equals
         [self.apply(m, pt) for pt in range(self.n_points)]."""
-        add, mul, inv = self.fq.add, self.fq.mul, self.fq.inv
-        a, b, c, d = m
-        out = [self.apply(m, INF)]
-        for x in range(self.q):
-            den = add(mul(c, x), d)
-            out.append(INF if den == 0 else mul(add(mul(a, x), b), inv(den)) + 1)
-        return out
+        fq = self.fq
+        return mobius(fq.add_array, fq.mul_array, fq.inv_array, m, *self.coords)
 
     # -- group operations ----------------------------------------------
 

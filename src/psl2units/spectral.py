@@ -237,7 +237,7 @@ def projection_coeffs(gens: CanonicalGenerators, perm_h: np.ndarray,
     sequence is non-constant.
     """
     p = gens.p
-    perm_a = np.array(gens.group.perm_array(gens.a))
+    perm_a = gens.group.perm_array(gens.a)
     cur = np.empty_like(perm_h)  # a^b h^-1, from b = 0
     cur[perm_h] = np.arange(len(perm_h))
     conj = np.empty((p, len(perm_h)), dtype=np.int64)  # conj[b][x] = h a^b h^-1 (x)
@@ -320,10 +320,10 @@ def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int,
         v = sigma_companion(gens) if parity == "even" else paired_companion(gens, h)
         return parity, ed, nilpotent_part(group, v)
     if parity == "even":
-        x, perm_y = gens.sigma, np.array(group.perm_array(gens.g))
+        x, perm_y = gens.sigma, group.perm_array(gens.g)
     else:
         x, perm_y = gens.g, perm_h
-    return parity, ed, row_displacement(np.array(group.perm_array(x)), perm_y)
+    return parity, ed, row_displacement(group.perm_array(x), perm_y)
 
 
 def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
@@ -336,7 +336,7 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     recomputed, never assumed; the contingent condition is whether the
     extreme projections of the image vector escape the kernel hyperplane.
     """
-    perm_h = np.array(gens.group.perm_array(h))
+    perm_h = gens.group.perm_array(h)
     parity, ed, tau = _displacement(gens, h, k, m, perm_h)
     psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
@@ -464,7 +464,7 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     p = gens.p
     n = group.n_points
 
-    perm_h = np.array(group.perm_array(h))
+    perm_h = group.perm_array(h)
     zeta = np.exp(-2j * np.pi / p)
     plus_cols, minus_cols, zero_cols = [], [], []
     for images in perm_h[tab.order_idx].reshape(-1, p).tolist():  # h-image of each a-orbit

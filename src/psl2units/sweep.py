@@ -11,13 +11,22 @@ exactly-once semantics.
 from __future__ import annotations
 
 import json
-import logging
 import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+# the interpreter's builtin sha256 first, as ``random`` does for sha512:
+# hashlib loads OpenSSL, about 3.6 MB of RSS
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .classify import dpc_predicate
 from .criteria import search_companion
@@ -26,8 +35,6 @@ from .errors import InadmissiblePair
 from .finite_fields import PrimePower, build_setup, factorize, is_prime
 from .orbits import build_orbits
 from .projective import make_generators
-
-log = logging.getLogger(__name__)
 
 SAMPLED = "SAMPLED"
 EXHAUSTIVE = "EXHAUSTIVE"
@@ -65,9 +72,8 @@ class SweepRecord:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
     def digest(self) -> str:
-        import hashlib  # lazily: an exhaustive check never hashes, so skips OpenSSL
         payload = {k: v for k, v in self.to_json_dict().items() if k != "elapsed_ms"}
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepRecord":
@@ -98,8 +104,7 @@ def odd_prime_powers(lo: int, hi: int):
 
 def task_seed(seed: int, q: int, p: int) -> int:
     """Stable per-task seed (independent of Python hash randomization)."""
-    import hashlib
-    digest = hashlib.sha256(f"{seed}:{q}:{p}".encode()).digest()
+    digest = sha256(f"{seed}:{q}:{p}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -256,7 +261,9 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
             jn.flush()
             tally(key, rec.satisfied)
             if not rec.satisfied:
-                log.warning("POSSIBLE_COUNTEREXAMPLE at (q=%d, p=%d)", *key)
+                import logging  # here: a sweep that finds none never loads it
+                logging.getLogger(__name__).warning("POSSIBLE_COUNTEREXAMPLE at (q=%d, p=%d)",
+                                                    *key)
             if progress:
                 progress(key, rec)
 

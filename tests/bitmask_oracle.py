@@ -68,8 +68,8 @@ def orbit_lists(gens) -> tuple[list[list[int]], list[list[list[int]]]]:
     smallest point (O_0 through infinity, point 0); a_orbits[i] are the
     a-orbits inside O_i, each from its smallest point."""
     group = gens.group
-    g_orbits = _cycles(group.perm_array(gens.g), range(group.n_points))
-    perm_a = group.perm_array(gens.a)
+    g_orbits = _cycles(group.perm_array(gens.g).tolist(), range(group.n_points))
+    perm_a = group.perm_array(gens.a).tolist()
     return g_orbits, [_cycles(perm_a, sorted(orbit)) for orbit in g_orbits]
 
 
@@ -85,8 +85,8 @@ def orbit_sums(gens, h) -> tuple[bool, int, int]:
     _require_outside_dihedralizer(gens, h)
     group = gens.group
     g_orbits, a_orbits = orbit_lists(gens)
-    perm_h = group.perm_array(h)
-    perm_gh = group.perm_array(conj_pow(group, gens.g, h))
+    perm_h = group.perm_array(h).tolist()
+    perm_gh = group.perm_array(conj_pow(group, gens.g, h)).tolist()
     ghO = [image_points(perm_gh, g_orbits[k]) for k in range(2)]
     mask_o0 = mask_of(g_orbits[0])
     lhs = rhs = 0
@@ -123,10 +123,10 @@ def intersection_counts(gens, h) -> IntersectionCounts:
     _require_outside_dihedralizer(gens, h)
     group = gens.group
     p = gens.p
-    perm_h = group.perm_array(h)
-    perm_hinv = group.perm_array(group.inverse(h))
-    perm_g = group.perm_array(gens.g)
-    perm_a = group.perm_array(gens.a)
+    perm_h = group.perm_array(h).tolist()
+    perm_hinv = group.perm_array(group.inverse(h)).tolist()
+    perm_g = group.perm_array(gens.g).tolist()
+    perm_a = group.perm_array(gens.a).tolist()
     g_orbits, _ = orbit_lists(gens)
 
     h_pts = [[perm_h[pt] for pt in g_orbits[i]] for i in range(2)]

@@ -46,7 +46,7 @@ def test_symmetric_cross_counts(ctx13):
     g_orbits, _ = orbit_lists(gens)
     for h in G.enumerate_elements():
         gh = conj_pow(G, gens.g, h)
-        perm = G.perm_array(gh)
+        perm = G.perm_array(gh).tolist()
         gh0 = image_points(perm, g_orbits[0])
         gh1 = image_points(perm, g_orbits[1])
         assert intersect_count(mask_of(g_orbits[0]), gh1) == \
@@ -134,9 +134,9 @@ def test_label_swap_preserves_verdict(ctx27):
     for _ in range(25):
         h = random_outside_dihedralizer(gens, rng)
         differs, lhs, rhs = companion_condition(gens, tab, h)
-        perm_h = G.perm_array(h)
+        perm_h = G.perm_array(h).tolist()
         gh = conj_pow(G, gens.g, h)
-        perm_gh = G.perm_array(gh)
+        perm_gh = G.perm_array(gh).tolist()
         ghO = [image_points(perm_gh, g_orbits[k]) for k in range(2)]
         mask_O1 = mask_of(g_orbits[1])
         lhs_s = rhs_s = 0
@@ -191,12 +191,12 @@ def test_conjugate_labels_read_through_stored_inverse(field, seed):
     gens, tab = cached_context(*field)
     G = gens.group
     h = G.random_element(random.Random(seed))
-    perm_gh = G.perm_array(conj_pow(G, gens.g, h))
+    perm_gh = G.perm_array(conj_pow(G, gens.g, h)).tolist()
     want = [0] * G.n_points
     for k, orbit in enumerate(orbit_lists(gens)[0]):
         for pt in orbit:
             want[perm_gh[pt]] = 1 + k  # perm_gh[pt] lies in g^h(O_k)
-    _, vo = orbit_layers(tab, np.array(G.perm_array(h)))
+    _, vo = orbit_layers(tab, G.perm_array(h))
     assert vo.tolist() == [want[pt] for pt in tab.order_idx]
 
 
@@ -264,7 +264,7 @@ def test_engine_tables_match_scalar_action(l, r, p):
         assert np.array_equal(eng.mobius_batch(negated), perm)  # -M acts as M
         dmask = eng.in_dihedralizer_batch(arr)
         for i, h in enumerate(mats):
-            assert perm[i].tolist() == G.perm_array(h)
+            assert np.array_equal(perm[i], G.perm_array(h))
             assert bool(dmask[i]) == G.in_dihedralizer(h, gens.g)
             assert in_d is None or bool(dmask[i]) == in_d
 

@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psl2units.errors import NotPrime, ZeroElement
 from psl2units.finite_fields import (
@@ -121,6 +123,58 @@ def test_field_axioms_sampled(l, r):
         assert fq.add(a, fq.neg(a)) == 0
         if a:
             assert fq.mul(a, fq.inv(a)) == 1
+
+
+def _poly_ops(fq):
+    # independent scalar oracle on the digits of the encodings: digit-wise
+    # sum, and schoolbook product reduced by X^r = -sum(c_i X^i)
+    l, r = fq.l, fq.r
+
+    def digits(e):
+        return [e // l ** i % l for i in range(r)]
+
+    def enc(c):
+        return sum(d % l * l ** i for i, d in enumerate(c[:r]))
+
+    def mul(x, y):
+        c = [0] * (2 * r - 1)
+        for i, a in enumerate(digits(x)):
+            for j, b in enumerate(digits(y)):
+                c[i + j] += a * b
+        for k in range(2 * r - 2, r - 1, -1):
+            for i, m in enumerate(fq.modulus):
+                c[k - r + i] -= c[k] * m
+        return enc(c)
+
+    return (lambda x, y: enc([a + b for a, b in zip(digits(x), digits(y))])), mul
+
+
+ARRAY_FIELDS = [7, 13, 997, 8, 16, 1024, 27, 125, 961]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(ARRAY_FIELDS), data=st.data())
+def test_array_ops_match_scalar_ops(q, data):
+    # add_array, mul_array and inv_array element by element against the
+    # scalar add, mul and inv, and those against the digit oracle: zero
+    # operands, scalar x array and column x row broadcasting
+    fq = make_field(*prime_power_decomposition(q))
+    elem = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
+    xs = data.draw(st.lists(elem, min_size=1, max_size=6))
+    ys = data.draw(st.lists(elem, min_size=1, max_size=6))
+    s = data.draw(elem)
+    col, row = np.array(xs, dtype=np.int64)[:, None], np.array(ys, dtype=np.int64)
+    for name, oracle in zip(("add", "mul"), _poly_ops(fq)):
+        op, op_array = getattr(fq, name), getattr(fq, name + "_array")
+        table = op_array(col, row)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[op(x, y) for y in ys] for x in xs]
+        assert [[op(x, y) for y in ys] for x in xs] == [[oracle(x, y) for y in ys] for x in xs]
+        assert op_array(s, row).tolist() == [op(s, y) for y in ys]
+        assert op_array(col, s).tolist() == [[op(x, s)] for x in xs]
+    units = np.array([x for x in xs + ys if x], dtype=np.int64)
+    assert fq.inv_array(units).tolist() == [fq.inv(x) for x in units.tolist()]
+    assert all(fq.mul(x, fq.inv(x)) == 1 for x in units.tolist())
 
 
 @pytest.mark.parametrize("l,r", [(13, 1), (3, 3), (2, 4)])

@@ -257,7 +257,7 @@ def test_unreachable_states_raise_invariant_violated(ctx13):
         gens.group.normalize((0, 0, 0, 0))
 
 
-def test_import_loads_neither_mpmath_nor_process_pool():
+def test_import_loads_neither_mpmath_nor_process_pool(tmp_path):
     # a sweep needs neither; mpmath alone costs about 4 MB of RSS at import
     proc = _run("import sys, psl2units; "
                 "print(sorted(m for m in ('mpmath', 'concurrent.futures') if m in sys.modules))")
@@ -269,8 +269,16 @@ def test_import_loads_neither_mpmath_nor_process_pool():
                 "('psl2units.sweep', 'hashlib', 'logging', 'mpmath') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    # an exhaustive check never hashes, so it does not load hashlib either
+    # an exhaustive check never hashes, and a sweep hashes with the
+    # interpreter's builtin sha256, so neither loads hashlib; a sweep that
+    # meets no counterexample logs nothing and does not load logging
     proc = _run("import sys, psl2units.sweep as sweep; "
                 "sweep.check_single(27, 7, exhaustive=True); print('hashlib' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    out = tmp_path / "sweep.jsonl"
+    proc = _run("import sys, psl2units.sweep as sweep; "
+                f"sweep.run_sweep(7, 30, out_path={str(out)!r}); "
+                "print(sorted(m for m in ('hashlib', '_hashlib', 'logging') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -121,7 +121,7 @@ def test_image_set_preserves_cardinality(ctx13):
     rng = random.Random(2)
     for _ in range(20):
         h = G.random_element(rng)
-        img = image_points(G.perm_array(h), g_orbits[0])
+        img = image_points(G.perm_array(h).tolist(), g_orbits[0])
         assert img.bit_count() == len(g_orbits[0])
         assert intersect_count(img, mask_of(g_orbits[0])) \
             + intersect_count(img, mask_of(g_orbits[1])) == (gens.q + 1) // 2
@@ -137,11 +137,11 @@ def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
             for base in (h, conj_pow(G, gens.g, h)):
-                img = [image_points(G.perm_array(base), o) for o in g_orbits]
+                img = [image_points(G.perm_array(base).tolist(), o) for o in g_orbits]
                 for mask in img:
                     assert mask not in orbit_masks
                 for mover in (gens.g, gens.a):
-                    perm = G.perm_array(mover)
+                    perm = G.perm_array(mover).tolist()
                     for mask in img:
                         moved = 0
                         for pt in points_of(mask):

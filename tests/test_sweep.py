@@ -23,6 +23,17 @@ def test_admissible_primes():
     assert admissible_primes(2197) == [157]     # 2198 = 2 * 7 * 157; 13 = -1 mod 7
 
 
+def test_seeds_and_digests_are_sha256():
+    # the interpreter's builtin sha256 gives what hashlib's does
+    for seed, q, p in ((0, 13, 7), (1, 27, 7), (12345, 997, 499)):
+        want = hashlib.sha256(f"{seed}:{q}:{p}".encode()).digest()
+        assert task_seed(seed, q, p) == int.from_bytes(want[:8], "big")
+    rec = SweepRecord(q=27, l=3, r=3, p=7, d=2, t_encoding=5, h=[1, 2, 3, 4], tries=1,
+                      satisfied=True, fraction=(3, 7), elapsed_ms=12, mode="SAMPLED")
+    payload = {k: v for k, v in rec.to_json_dict().items() if k != "elapsed_ms"}
+    assert rec.digest() == hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def test_odd_prime_powers_range():
     qs = [pp.q for pp in odd_prime_powers(7, 50)]
     assert qs == [7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
