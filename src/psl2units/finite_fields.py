@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -186,6 +186,15 @@ class Field:
     def elements(self):
         return range(self.q)
 
+    @cached_property
+    def square_roots(self):
+        """int64 array holding the smaller encoding of +-x at index x^2, and 0
+        at the non-squares; both writes to x^2 carry min(x, -x)."""
+        e = np.arange(self.q, dtype=np.int64)
+        roots = np.zeros(self.q, dtype=np.int64)
+        roots[self.mul_array(e, e)] = np.minimum(e, self.mul_array(self.neg(1), e))
+        return roots
+
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
@@ -322,7 +331,7 @@ class ExtensionField(Field):
         self.zech = list(range(-2 * n, -n)) + zech * 2 + [0] * (n + 1)
         self.neg_table = neg
         self.inv_table = [0] + [self.exp[n - log[e]] for e in range(1, q)]
-        # int32 halves the index arrays of a q x q operation
+        # int32 logs halve the index arrays that add_array and mul_array build
         self._exp_array = np.array(self.exp, dtype=np.int64)
         self._log_array = np.array(log, dtype=np.int32)
         self._zech_array = np.array(self.zech, dtype=np.int32)

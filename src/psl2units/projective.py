@@ -4,7 +4,7 @@ Points are indexed 0..q: index 0 is the point at infinity and index
 x+1 is the field element with encoding x.  ``apply`` maps one point by
 the field's scalar arithmetic; ``perm_array`` maps all of them at once
 and returns an int64 ndarray, built by ``mobius`` from the field's numpy
-arithmetic, the function the survey engine runs on its table gathers.
+arithmetic, the function the survey engine runs on its batches of rows.
 Group elements are 4-tuples (a11, a12, a21, a22) of field encodings with
 determinant 1, stored as the canonical representative of the pair
 {M, -M}: for odd q the first nonzero entry in scan order has the smaller
@@ -49,7 +49,6 @@ class PSL2:
         self.d_prime = gcd(2, self.q + 1)
         self.n_points = self.q + 1
         self.identity: Element = (1, 0, 0, 1)
-        self._sqrt = None
         # homogeneous coordinates [x : y] of the point indices
         x, y = np.arange(-1, self.q, dtype=np.int64), np.ones(self.n_points, dtype=np.int64)
         x[INF], y[INF] = 1, 0
@@ -189,15 +188,6 @@ class PSL2:
             for d in range(self.q):
                 yield (0, b, c, d)
 
-    def _sqrt_table(self):
-        if self._sqrt is None:
-            fq = self.fq
-            table = {}
-            for x in range(self.q):
-                table.setdefault(fq.mul(x, x), x)
-            self._sqrt = table
-        return self._sqrt
-
     def random_element(self, rng) -> Element:
         """Uniform element from a seeded random stream.
 
@@ -215,7 +205,7 @@ class PSL2:
             ns = fq.first_non_square()
             a, b = fq.mul(a, ns), fq.mul(b, ns)
             det = fq.mul(det, ns)
-        y = self._sqrt_table()[det]
+        y = int(fq.square_roots[det])
         s = fq.inv(y)
         return self.normalize((fq.mul(a, s), fq.mul(b, s), fq.mul(c, s), fq.mul(d, s)))
 

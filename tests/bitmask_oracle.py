@@ -5,7 +5,9 @@ It shares no code with them: the g- and a-orbits are its own point lists,
 walked on perm_array(g) and perm_array(a), g^h comes from ``conj_pow`` and
 its own permutation array, point sets are bitmasks over the point indices,
 and every triple count m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
-is counted outright.
+is counted outright.  ``coset_key`` names the <g>-double coset of an h
+outside D by scalar ``QuadraticExtension`` arithmetic, as an oracle for
+the double-coset surveys of ``psl2units.engine``.
 """
 
 from __future__ import annotations
@@ -184,3 +186,23 @@ def balance_table(gens, h, counts: IntersectionCounts | None = None) -> dict[int
                 "the two balance families must agree shift by shift")
         table[b] = eq0
     return table
+
+
+def coset_key(gens, h):
+    """kappa(h) = w^((q+1)/2), w = (h(xi) - xi)/(h(xi) - xi^q), for h outside
+    D and q odd, with xi = -alpha the fixed point of g in F_{q^2}.
+
+    h -> h(xi) identifies G/<g> with the points of P^1(F_{q^2}) off
+    P^1(F_q), and <g> acts on w by the subgroup of order (q+1)/2 of
+    F_{q^2}*, the kernel of x -> x^((q+1)/2); so two elements share a key
+    exactly when they share a double coset <g> h <g>.
+    """
+    _require_outside_dihedralizer(gens, h)
+    fq2 = gens.setup.fq2
+    xi = fq2.neg(gens.setup.alpha)
+    a, b, c, d = (fq2.embed(x) for x in h)
+    num = fq2.add(fq2.mul(a, xi), b)  # h(xi) = num / den
+    den = fq2.add(fq2.mul(c, xi), d)
+    near = fq2.sub(num, fq2.mul(den, xi))
+    far = fq2.sub(num, fq2.mul(den, fq2.frobenius(xi)))
+    return fq2.pow(fq2.mul(near, fq2.inv(far)), (gens.q + 1) // 2)

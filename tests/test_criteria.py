@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from psl2units.criteria import (
     companion_condition, criterion_report, orbit_layers, search_companion, shift_sums,
 )
-from psl2units.engine import ConditionEngine
+from psl2units.engine import CHUNK_ROWS, ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 
 from bitmask_oracle import (
-    balance_table, conj_pow, image_points, intersect_count, intersection_counts, mask_of,
-    orbit_lists, orbit_sums,
+    balance_table, conj_pow, coset_key, image_points, intersect_count, intersection_counts,
+    mask_of, orbit_lists, orbit_sums,
 )
 from conftest import _context, cached_context, random_outside_dihedralizer
 
@@ -249,9 +250,14 @@ def _dihedralizer(gens):
 @pytest.mark.parametrize("l, r, p", [(2, 3, 3), (13, 1, 7), (2, 4, 17), (3, 3, 7),
                                      (5, 3, 7)])
 def test_engine_tables_match_scalar_action(l, r, p):
-    # the table arithmetic against the field's scalar route, odd and even q
+    # the engine's array arithmetic against the field's scalar route; the
+    # engine refuses even q when it is built
     gens, tab = _context(l, r, p)
     G = gens.group
+    if gens.q % 2 == 0:
+        with pytest.raises(ValueError, match="odd q"):
+            ConditionEngine(gens, tab)
+        return
     eng = ConditionEngine(gens, tab)
     rng = random.Random(11)
     seeded = [G.random_element(rng) for _ in range(200)]
@@ -269,33 +275,18 @@ def test_engine_tables_match_scalar_action(l, r, p):
             assert in_d is None or bool(dmask[i]) == in_d
 
 
-@pytest.mark.parametrize("l, r, p", [(13, 1, 7), (2, 4, 17), (5, 2, 13), (3, 3, 7),
-                                     (5, 3, 7)])
-def test_engine_tables_equal_field_ops(l, r, p):
-    # the Zech-built tables against the field's scalar ops on every pair:
-    # prime, characteristic 2 and extension fields
-    gens, tab = _context(l, r, p)
-    fq, q = gens.group.fq, gens.q
-    eng = ConditionEngine(gens, tab)
-    for name in ("add", "mul"):
-        op = getattr(fq, name)
-        want = np.array([[op(x, y) for y in range(q)] for x in range(q)], dtype=np.int64)
-        assert np.array_equal(getattr(eng, name), want)
-    assert eng.inv[1:].tolist() == [fq.inv(x) for x in range(1, q)]
-    assert eng.neg.tolist() == [fq.neg(x) for x in range(q)]
-
-
 def test_engine_enumeration_is_psl(ctx13, ctx16):
-    for gens, _tab in (ctx13, ctx16):
-        G = gens.group
-        eng = ConditionEngine(gens, _tab)
-        seen = set()
-        count = 0
-        for mats in eng.enumerate_batches():
-            for row in mats:
-                seen.add(G.normalize(tuple(int(x) for x in row)))
-                count += 1
-        assert count == len(seen) == G.order()
+    gens, tab = ctx13
+    G = gens.group
+    seen = set()
+    count = 0
+    for mats in ConditionEngine(gens, tab).enumerate_batches():
+        for row in mats:
+            seen.add(G.normalize(tuple(int(x) for x in row)))
+            count += 1
+    assert count == len(seen) == G.order()
+    with pytest.raises(ValueError, match="odd q"):
+        ConditionEngine(*ctx16)
 
 
 def test_engine_survey_counts(ctx13, ctx27):
@@ -381,19 +372,39 @@ def _brute_census(eng):
 @pytest.mark.parametrize("l, r, p", [(13, 1, 7), (5, 2, 13), (3, 3, 7), (37, 1, 19),
                                      (41, 1, 7)])
 def test_double_coset_survey_matches_full_enumeration(l, r, p, monkeypatch):
+    # each representative is evaluated once per survey or census, and the
+    # first_h walk reads the enumeration at most one chunk past first_h
     eng = ConditionEngine(*_context(l, r, p))
     want_survey, want_census = _brute_survey(eng), _brute_census(eng)
-    evaluated = []
-    for name in ("condition_batch", "criteria_batch"):
+    evaluated = {"condition_batch": [], "criteria_batch": []}
+    for name, calls in evaluated.items():
         method = getattr(eng, name)
-        monkeypatch.setattr(eng, name,
-                            lambda mats, method=method: evaluated.append(len(mats))
-                            or method(mats))
+        monkeypatch.setattr(eng, name, lambda mats, method=method, calls=calls:
+                            calls.append(mats.copy()) or method(mats))
     sv = eng.survey()
     census = eng.census()
     assert (sv.total, sv.satisfied, sv.first_h, sv.first_tries) == want_survey
     assert (census.total, census.orbit_sum, census.unbalanced) == want_census
-    assert evaluated == [2 * eng.q - 4] * 2
+    reps, *walk = evaluated["condition_batch"]
+    assert len({coset_key(eng.gens, tuple(row)) for row in reps.tolist()}) == len(reps) \
+        == 2 * eng.q - 4
+    assert [m.tolist() for m in evaluated["criteria_batch"]] == [reps.tolist()]
+    assert sum(len(m) for m in walk) <= sv.first_tries + CHUNK_ROWS
+
+
+def test_survey_and_census_memory_linear_in_q():
+    # the engine keeps O(q) arrays and evaluates CHUNK_ROWS rows at a time;
+    # one q x q int64 table would take 32 MB at q = 1997
+    gens, tab = _context(1997, 1, 37)
+    tracemalloc.start()
+    try:
+        eng = ConditionEngine(gens, tab)
+        eng.survey()
+        eng.census()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10 ** 6
 
 
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx27"])
@@ -402,7 +413,8 @@ def test_coset_keys_are_the_double_cosets(ctx, request):
     # on a class
     eng = ConditionEngine(*request.getfixturevalue(ctx))
     mats = _outside_d(eng)
-    keys = eng.coset_keys(mats)
+    fq2 = eng.gens.setup.fq2
+    keys = [fq2.encoding(coset_key(eng.gens, tuple(row))) for row in mats.tolist()]
     classes, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     assert len(classes) == 2 * eng.q - 4
     assert set(sizes.tolist()) == {((eng.q + 1) // 2) ** 2}
@@ -431,11 +443,8 @@ def test_repeated_double_coset_raises(ctx27, monkeypatch):
 
 
 def test_double_coset_survey_rejects_even_q(ctx16):
-    eng = ConditionEngine(*ctx16)
     with pytest.raises(ValueError, match="odd q"):
-        eng.survey()
-    with pytest.raises(ValueError, match="odd q"):
-        eng.census()
+        ConditionEngine(*ctx16)
 
 
 _PROPERTY_PAIRS = {13: (13, 1, 7), 25: (5, 2, 13), 27: (3, 3, 7), 37: (37, 1, 19)}
@@ -452,8 +461,8 @@ def _engine(q):
 @given(q=st.sampled_from(sorted(_PROPERTY_PAIRS)), seed=st.integers(0, 2 ** 32),
        i=st.integers(0, 18), j=st.integers(0, 18))
 def test_verdicts_constant_on_double_cosets(q, seed, i, j):
-    # criteria_batch and the coset key of c h c' equal those of h for
-    # h outside D and c, c' in <g>
+    # criteria_batch and the oracle's coset key of c h c' equal those of h
+    # for h outside D and c, c' in <g>
     eng = _engine(q)
     gens = eng.gens
     G = gens.group
@@ -463,5 +472,4 @@ def test_verdicts_constant_on_double_cosets(q, seed, i, j):
     rows = np.array([h, moved], dtype=np.int64)
     verdicts = [col.tolist() for col in eng.criteria_batch(rows)]
     assert all(col[0] == col[1] for col in verdicts)
-    keys = eng.coset_keys(rows)
-    assert keys[0] == keys[1]
+    assert coset_key(gens, h) == coset_key(gens, moved)

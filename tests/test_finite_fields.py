@@ -157,7 +157,8 @@ ARRAY_FIELDS = [7, 13, 997, 8, 16, 1024, 27, 125, 961]
 def test_array_ops_match_scalar_ops(q, data):
     # add_array, mul_array and inv_array element by element against the
     # scalar add, mul and inv, and those against the digit oracle: zero
-    # operands, scalar x array and column x row broadcasting
+    # operands, scalar x array and column x row broadcasting; square_roots
+    # against the scalar squares
     fq = make_field(*prime_power_decomposition(q))
     elem = st.sampled_from([0, 1, q - 1]) | st.integers(0, q - 1)
     xs = data.draw(st.lists(elem, min_size=1, max_size=6))
@@ -175,6 +176,9 @@ def test_array_ops_match_scalar_ops(q, data):
     units = np.array([x for x in xs + ys if x], dtype=np.int64)
     assert fq.inv_array(units).tolist() == [fq.inv(x) for x in units.tolist()]
     assert all(fq.mul(x, fq.inv(x)) == 1 for x in units.tolist())
+    roots = fq.square_roots
+    assert all(roots[fq.mul(x, x)] == min(x, fq.neg(x)) for x in xs + ys)
+    assert all(roots[x] == 0 for x in xs + ys if not fq.is_square(x))
 
 
 @pytest.mark.parametrize("l,r", [(13, 1), (3, 3), (2, 4)])
