@@ -20,10 +20,14 @@ a homomorphism: (x, y) = (g, h) for odd q and (sigma, g) for even q.
 The image vector, the kernel functional, the profiles along the a-orbits
 and the projection coefficients are numpy gathers from the rows of h and
 a and from the orbit table's arrays (g^-1, the g-orbit labels and the
-a-orbits in a-power order).  Once tau = psi phi^T is checked exactly, its
-rank is 1 iff psi and phi are nonzero.  The group ring route
-(``nilpotent_part`` of ``paired_companion`` or ``sigma_companion``, and
-``integer_rank``) is the dense oracle's and the tests'.
+a-orbits in a-power order).  tau^2 = 0 is decided exactly, in int64 and
+without a BLAS product, by ``square_is_nonzero``: every column of tau^2 is
+tau times a column of tau, so tau is multiplied only by one column of each
+distinct kind, which costs O(n^2) for the at most three kinds a correct
+tau = psi phi^T has.  Once tau = psi phi^T is checked exactly, its rank is
+1 iff psi and phi are nonzero.  The group ring route (``nilpotent_part``
+of ``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is
+the dense oracle's and the tests'.
 """
 
 from __future__ import annotations
@@ -95,6 +99,17 @@ def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray) -> np.ndarray:
         if np.array_equal(cur, cols):
             return tau
     raise InvariantViolated(f"x does not return to the identity within {n} steps")
+
+
+def square_is_nonzero(mat: np.ndarray) -> bool:
+    """bool((mat @ mat).any()) for a square integer matrix, exactly: column j
+    of mat @ mat is mat times column j of mat, so mat is multiplied only by
+    the first column of each distinct kind (grouped by bytes), in
+    O(n^2 k) for k distinct columns."""
+    first = {}
+    for j, col in enumerate(mat.T):
+        first.setdefault(col.tobytes(), j)
+    return bool((mat @ mat[:, list(first.values())]).any())
 
 
 def sigma_companion(gens: CanonicalGenerators) -> GroupRingElement:
@@ -173,12 +188,14 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         for b in range(1, half + 1):
             ratio = abs(mpmath.sin(mpmath.pi * k * b / p) / mpmath.sin(mpmath.pi * b / p))
             values.append(ratio ** m)
-        for i in range(half + 1):
-            for j in range(i + 1, half + 1):
-                gap = abs(values[i] - values[j]) / max(values[i], values[j])
-                if not gap > 1e-6:
-                    raise InvariantViolated(f"p={p}, k={k}, m={m}: magnitude collision "
-                                            f"at b={i},{j}")
+        # in sorted order every pair's relative gap is at least that of an
+        # adjacent pair, so checking neighbours decides all pairs
+        order = sorted(range(half + 1), key=values.__getitem__)
+        for i, j in zip(order, order[1:]):
+            gap = (values[j] - values[i]) / values[j]
+            if not gap > 1e-6:
+                raise InvariantViolated(f"p={p}, k={k}, m={m}: magnitude collision "
+                                        f"at b={min(i, j)},{max(i, j)}")
         b_plus = max(range(1, half + 1), key=lambda b: values[b])
         b_minus = min(range(1, half + 1), key=lambda b: values[b])
         if not values[b_plus] > 1 > values[b_minus]:
@@ -274,7 +291,7 @@ def _even_vectors(gens: CanonicalGenerators):
     return psi, phi
 
 
-@dataclass
+@dataclass(slots=True)
 class ExactCertificate:
     """Outcome of the exact four-intersection check for one (h, k, m)."""
 
@@ -340,7 +357,7 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     parity, ed, tau = _displacement(gens, h, k, m, perm_h)
     psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
-    if (tau @ tau).any():
+    if square_is_nonzero(tau):
         raise InvariantViolated("displacement must square to zero")
     if not np.array_equal(tau, np.outer(psi, phi)):
         raise InvariantViolated("displacement must factor through the expected image vector")

@@ -82,6 +82,28 @@ def test_certificate_rejects_a_wrong_displacement(ctx13, monkeypatch):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx16"])
+def test_certificate_rejects_an_image_vector_off_the_kernel(ctx, request, monkeypatch):
+    # tau = psi' phi^T with phi . psi' != 0 has only two (odd q) or three
+    # (even q) distinct columns, like a correct tau, but squares to
+    # (phi . psi') tau, which is not zero
+    gens, tab = request.getfixturevalue(ctx)
+    if gens.q % 2:
+        h, m = random_outside_dihedralizer(gens, random.Random(6)), 21
+        psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
+    else:
+        h, m = spectral.recipe_element(gens, 0), 17 * 8
+        psi, phi = spectral._even_vectors(gens)
+    assert spectral.exact_certificate(gens, tab, h, 2, m).ok
+    psi_off = psi.copy()
+    psi_off[np.flatnonzero(phi)[0]] += 1
+    bad = np.outer(psi_off, phi)
+    assert phi @ psi_off != 0 and len(np.unique(bad, axis=1).T) == (2 if gens.q % 2 else 3)
+    monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y: bad)
+    with pytest.raises(InvariantViolated, match="square to zero"):
+        spectral.exact_certificate(gens, tab, h, 2, m)
+
+
 def test_certificate_rejects_an_order_that_does_not_close(ctx13):
     # the walk along x's row stops after n steps: a row that is no
     # permutation of finite order below n + 1 is refused
@@ -205,6 +227,29 @@ try:
     spectral.exact_certificate(gens, tab, h, 2, 21)
 except InvariantViolated as exc:
     print("factor through" in str(exc))
+""") == "1\nTrue"
+
+
+def test_square_zero_check_survives_python_O():
+    # a displacement psi' phi^T whose image vector leaves the kernel
+    # hyperplane has two distinct columns and does not square to zero
+    assert _rejected_under_python_O("""
+import numpy as np
+from psl2units import spectral
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
+tab = build_orbits(gens)
+h = (1, 2, 1, 3)
+print(spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank)
+psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
+psi[0] += 1
+spectral.row_displacement = lambda perm_x, perm_y: np.outer(psi, phi)
+try:
+    spectral.exact_certificate(gens, tab, h, 2, 21)
+except InvariantViolated as exc:
+    print("square to zero" in str(exc))
 """) == "1\nTrue"
 
 

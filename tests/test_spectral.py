@@ -15,8 +15,8 @@ from psl2units.projective import INF
 from psl2units.spectral import (
     diagonalizer_identities, eigen_data, exact_certificate, integer_rank,
     nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
-    projection_coeffs, recipe_element, row_displacement, sigma_companion, unit_matrix,
-    vanishes,
+    projection_coeffs, recipe_element, row_displacement, sigma_companion,
+    square_is_nonzero, unit_matrix, vanishes,
 )
 
 from bitmask_oracle import balance_table, intersection_counts
@@ -253,6 +253,25 @@ def test_row_displacement_is_the_group_ring_image(field, x_name, seed):
     y = G.random_element(random.Random(seed))
     assert np.array_equal(row_displacement(_row(G, x), _row(G, y)),
                           nilpotent_part(G, bicyclic_right(G, x, y)))
+
+
+@st.composite
+def _pooled_columns(draw):
+    """A small int64 matrix whose columns are multiples by -1, 0 or 1 of a
+    pool of at most three columns, so repeated, zero and negated columns
+    occur, as in tau = psi phi^T."""
+    n = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    cols = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([-1, 0, 1])),
+                         min_size=n, max_size=n))
+    return np.array([[sign * pool[i][r] for i, sign in cols] for r in range(n)], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=_pooled_columns())
+def test_square_is_nonzero_is_the_full_product(mat):
+    assert square_is_nonzero(mat) == bool((mat @ mat).any())
 
 
 def test_integer_rank_small_cases():
