@@ -78,7 +78,7 @@ def test_proven_family_p_equals_5():
 
 
 # the pairs with q even, q < 2048 and p > 5 that pass the predicate, each
-# from three base points; q = 1024 costs about 0.15 s a certificate.  The
+# from three base points; q = 1024 costs about 0.1 s a certificate.  The
 # dense n x n arrays keep q >= 2048 out of the suite: 0.5 s a certificate
 # at q = 2048, 2.5 s and 0.3 GB at 4096, 10 s and 1.1 GB at 8192
 _EVEN_RECIPES = [(16, 17, (0, 1, 2)), (32, 11, (0, 1, 2)), (64, 13, (0, 1, 2)),
