@@ -8,8 +8,10 @@ over the a-orbits of the orbit table, read along a row perm[x] = h(x):
   (g^h = h^-1 g h, read through the table's g^-1), in a-power order: a
   block of p per a-orbit, summed or correlated after a reshape;
 * the weighted sums over a-orbits whose inequality is the stronger,
-  sufficient condition: it implies unbalance but not conversely.  The
-  sweep searches for it because one h meeting it settles the pair;
+  sufficient condition: it implies unbalance but not conversely, since
+  lhs - rhs is the sum of D_b over all p shifts and D_0 = 0.  The sweep
+  searches for it because one h meeting it settles the pair, and
+  ``verdicts`` reads the shift sums only on the rows where lhs == rhs;
 * the balance defects D_b = m[b][0][0][1] - m[b][0][1][0] of the triple
   counts m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|, as cyclic
   correlations along each a-orbit.  The exact certificate of the spectral
@@ -63,6 +65,27 @@ def orbit_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
     return lhs != rhs, lhs, rhs
 
 
+def _checked_layers(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
+    """The signed cross indicator and [x in h^-1(O_0)], by a-orbit, after
+    the cross-total and D_0 checks that every balance verdict makes."""
+    cross = (_by_orbit(tab, vo) == tab.cross_label) * tab.cross_sign
+    layer = _by_orbit(tab, in_h0).astype(np.int8)
+    if cross.sum(axis=(-2, -1)).any():
+        raise BalanceFamiliesDisagree("the two balance families must agree shift by shift")
+    if np.einsum("...kt,...kt->...", cross, layer, dtype=np.int32).any():
+        raise InvariantViolated("the balance defect at shift 0 is not zero")
+    return cross, layer
+
+
+def _shift_sums(cross: np.ndarray, layer: np.ndarray) -> np.ndarray:
+    p = layer.shape[-1]
+    twice = np.concatenate([layer, layer], axis=-1)  # x_(t-b) and x_(t+b) as windows
+    return np.stack([np.einsum("...kt,...kt->...", cross,
+                               twice[..., p - b:2 * p - b] + twice[..., b:b + p],
+                               dtype=np.int32)
+                     for b in range(1, (p - 1) // 2 + 1)], axis=-1)
+
+
 def shift_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray:
     """D_b + D_-b for the shifts 0 < b <= (p-1)/2, per row; shift b is
     balanced iff its sum is 0.
@@ -75,18 +98,18 @@ def shift_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray
     BalanceFamiliesDisagree.  D_0 must vanish too (the b = 0 symmetry),
     else InvariantViolated.
     """
-    p = tab.gens.p
-    cross = (_by_orbit(tab, vo) == tab.cross_label) * tab.cross_sign
-    layer = _by_orbit(tab, in_h0).astype(np.int8)
-    if cross.sum(axis=(-2, -1)).any():
-        raise BalanceFamiliesDisagree("the two balance families must agree shift by shift")
-    if np.einsum("...kt,...kt->...", cross, layer, dtype=np.int32).any():
-        raise InvariantViolated("the balance defect at shift 0 is not zero")
-    sums = [np.einsum("...kt,...kt->...", cross,
-                      np.roll(layer, b, axis=-1) + np.roll(layer, -b, axis=-1),
-                      dtype=np.int32)
-            for b in range(1, (p - 1) // 2 + 1)]
-    return np.stack(sums, axis=-1)
+    return _shift_sums(*_checked_layers(tab, in_h0, vo))
+
+
+def verdicts(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
+    """(lhs != rhs, lhs, rhs, unbalanced) per row, ``unbalanced`` being
+    ``shift_sums(...).any(axis=-1)`` read only where lhs == rhs."""
+    differs, lhs, rhs = orbit_sums(tab, in_h0, vo)
+    cross, layer = _checked_layers(tab, in_h0, vo)
+    unbalanced, open_rows = np.array(differs), ~differs
+    if open_rows.any():  # _shift_sums costs (p-1)/2 numpy calls even on no rows
+        unbalanced[open_rows] = _shift_sums(cross[open_rows], layer[open_rows]).any(axis=-1)
+    return differs, lhs, rhs, unbalanced
 
 
 def _perm_row(gens: CanonicalGenerators, h: Element) -> np.ndarray:

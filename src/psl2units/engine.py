@@ -5,23 +5,22 @@ The condition, its two orbit sums and the balance verdict are constant on
 each double coset T h T (|T| = (q+1)/2), and G - D splits into 2q - 4 of
 them, each of |T|^2 elements.  The Cayley map h -> w = (h(xi) - xi) /
 (h(xi) - xi^q) (xi the fixed point of g in F_{q^2}) turns them into
-classes of F_{q^2}*, so a survey or census builds one row per class from
-a primitive element of F_{q^2}, checks that each row's Cayley image is
-its w, and evaluates the rows, weighted by |T|^2.  The same map decides
-D, the normaliser of T: h lies in D exactly when h(xi) is xi or xi^q.
-``first_h`` is found by running the condition on the enumeration of
-G - D until a row is satisfied, which is the first satisfied element
-because the verdict is constant on double cosets.
+classes of F_{q^2}*, so a survey builds one row per class from a
+primitive element of F_{q^2}, checks that each row's Cayley image is its
+w, and evaluates both verdicts on the rows in one pass, weighted by
+|T|^2.  The same map decides D, the normaliser of T: h lies in D exactly
+when h(xi) is xi or xi^q.  ``first_h`` is found by running the condition
+on the enumeration of G - D until a row is satisfied, which is the first
+satisfied element because the verdict is constant on double cosets.
 
 The verdicts are the row functions of ``criteria`` applied to Moebius
 rows, which ``projective.mobius`` builds as it does for ``perm_array``.
 Everything is vectorized with numpy over the field's own array ops
 (``add_array``, ``mul_array``, ``inv_array``) and a length-q negation
 row, so the engine holds O(q) arrays; F_{q^2} elements are (lo, hi)
-pairs in the basis of ``QuadraticExtension``.  Surveys and censuses are
-bit-identical to a full enumeration of G - D (in the tests); they
-evaluate CHUNK_ROWS rows at a time, so their per-batch arrays do not
-grow with the row count.
+pairs in the basis of ``QuadraticExtension``.  Surveys are bit-identical
+to a full enumeration of G - D (in the tests); they evaluate CHUNK_ROWS
+rows at a time, so their per-batch arrays do not grow with the row count.
 """
 
 from __future__ import annotations
@@ -32,47 +31,30 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import orbit_layers, orbit_sums, shift_sums
+from .criteria import orbit_layers, orbit_sums, verdicts
 from .errors import InvariantViolated
 from .orbits import OrbitTable
 from .projective import CanonicalGenerators, Element, mobius
 
-CHUNK_ROWS = 256  # rows a survey or census evaluates in one batch
-
-
-def _in_chunks(batch, rows):
-    """``batch`` over CHUNK_ROWS rows at a time, its outputs concatenated,
-    so that its (rows x points) arrays stay bounded as q grows."""
-    parts = [batch(rows[i:i + CHUNK_ROWS]) for i in range(0, len(rows), CHUNK_ROWS)]
-    return [np.concatenate(out) for out in zip(*parts)]
+CHUNK_ROWS = 256  # rows a survey evaluates in one batch
 
 
 @dataclass
 class Survey:
-    """Exact satisfied count over G - D, summed over the <g>-double cosets.
+    """Exact counts over G - D, summed over the <g>-double cosets.
 
+    ``satisfied`` counts h meeting the orbit-sum condition; ``unbalanced``
+    counts h with an unbalanced shift, which are exactly the h whose
+    bicyclic unit the exact certificate accepts as a free companion.
     ``first_h`` is the first satisfied element in enumeration order and
     ``first_tries`` its position among the elements of G - D.
     """
 
     total: int             # |G - D|
     satisfied: int
+    unbalanced: int
     first_h: Optional[Element]
     first_tries: int       # elements of G - D up to and including first_h
-
-
-@dataclass
-class Census:
-    """Exact counts over G - D, summed over the <g>-double cosets.
-
-    ``orbit_sum`` counts h meeting the orbit-sum condition; ``unbalanced``
-    counts h with an unbalanced shift, which are exactly the h whose
-    bicyclic unit the exact certificate accepts as a free companion.
-    """
-
-    total: int
-    orbit_sum: int
-    unbalanced: int
 
 
 class ConditionEngine:
@@ -120,9 +102,7 @@ class ConditionEngine:
         ``unbalanced`` matches ``criteria.criterion_report(...).unbalanced``,
         the verdict of the exact certificate for h outside D.
         """
-        layers = orbit_layers(self.tab, self.mobius_batch(mats))
-        differs, lhs, rhs = orbit_sums(self.tab, *layers)
-        return differs, lhs, rhs, shift_sums(self.tab, *layers).any(axis=-1)
+        return verdicts(self.tab, *orbit_layers(self.tab, self.mobius_batch(mats)))
 
     # -- F_{q^2} and the Cayley map ---------------------------------------
 
@@ -252,22 +232,17 @@ class ConditionEngine:
                                 "a satisfied double coset of <g>")
 
     def survey(self) -> Survey:
-        """The condition on one row per double coset, weighted by |T|^2.
+        """Both verdicts on one row per double coset, weighted by |T|^2.
 
         ``first_h`` and ``first_tries`` come from the enumeration, which is
         read only when some double coset is satisfied.
         """
         reps = self._representatives()
-        ok, _, _ = _in_chunks(self.condition_batch, reps)
+        parts = [self.criteria_batch(reps[i:i + CHUNK_ROWS])
+                 for i in range(0, len(reps), CHUNK_ROWS)]
+        ok, _, _, unbalanced = (np.concatenate(out) for out in zip(*parts))
         weight = ((self.q + 1) // 2) ** 2
         first_h, first_tries = self._first_satisfied() if ok.any() else (None, 0)
         return Survey(total=len(reps) * weight, satisfied=int(ok.sum()) * weight,
+                      unbalanced=int(unbalanced.sum()) * weight,
                       first_h=first_h, first_tries=first_tries)
-
-    def census(self) -> Census:
-        """Orbit-sum and unbalanced counts over G - D, one row per double coset."""
-        reps = self._representatives()
-        differs, _, _, unb = _in_chunks(self.criteria_batch, reps)
-        weight = ((self.q + 1) // 2) ** 2
-        return Census(total=len(reps) * weight, orbit_sum=int(differs.sum()) * weight,
-                      unbalanced=int(unb.sum()) * weight)

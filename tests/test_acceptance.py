@@ -102,7 +102,7 @@ def _census(q, p):
     if (q, p) not in _CENSUS_CACHE:
         pp = PrimePower.from_q(q)
         gens, tab = _context(pp.l, pp.r, p)
-        _CENSUS_CACHE[(q, p)] = ConditionEngine(gens, tab).census()
+        _CENSUS_CACHE[(q, p)] = ConditionEngine(gens, tab).survey()
     return _CENSUS_CACHE[(q, p)]
 
 
@@ -116,12 +116,12 @@ def test_criterion_3_density_exceeds_ninety_percent(q):
         assert _verdict(3, True, f"q={q}: no admissible p (vacuous)")
         return
     censuses = {pair: _census(*pair) for pair in pairs}
-    ok = all(c.unbalanced > 0.9 * c.total and c.orbit_sum <= c.unbalanced
+    ok = all(c.unbalanced > 0.9 * c.total and c.satisfied <= c.unbalanced
              for c in censuses.values())
     detail = ", ".join(
         f"(q={qq}, p={pp}): certified {c.unbalanced}/{c.total} = "
-        f"{c.unbalanced / c.total:.4f}, orbit-sum {c.orbit_sum}/{c.total} = "
-        f"{c.orbit_sum / c.total:.4f}"
+        f"{c.unbalanced / c.total:.4f}, orbit-sum {c.satisfied}/{c.total} = "
+        f"{c.satisfied / c.total:.4f}"
         for (qq, pp), c in censuses.items())
     assert _verdict(3, ok, detail)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psl2units.criteria import (
-    companion_condition, criterion_report, orbit_layers, search_companion, shift_sums,
+    companion_condition, criterion_report, orbit_layers, orbit_sums as row_orbit_sums,
+    search_companion, shift_sums, verdicts,
 )
 from psl2units.engine import CHUNK_ROWS, ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
@@ -292,12 +293,12 @@ def test_engine_enumeration_is_psl(ctx13, ctx16):
 def test_engine_survey_counts(ctx13, ctx27):
     gens, tab = ctx13
     sv = ConditionEngine(gens, tab).survey()
-    assert (sv.satisfied, sv.total) == (1078, 1078)
+    assert (sv.satisfied, sv.unbalanced, sv.total) == (1078, 1078, 1078)
     assert (sv.first_h, sv.first_tries) == ((0, 1, 12, 0), 1)
     gens, tab = ctx27
     sv = ConditionEngine(gens, tab).survey()
     assert sv.total == 9828 - 28
-    assert (sv.satisfied, sv.total) == (8624, 9800)
+    assert (sv.satisfied, sv.unbalanced, sv.total) == (8624, 9408, 9800)
     assert (sv.first_h, sv.first_tries) == ((1, 2, 1, 0), 2)
 
 
@@ -337,10 +338,27 @@ def test_zero_shift_defect_raises(ctx27):
         shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
 
 
-def test_engine_census_q27(ctx27):
-    census = ConditionEngine(*ctx27).census()
-    assert (census.orbit_sum, census.unbalanced, census.total) == \
-        (8624, 9408, 9800)
+def test_lazy_verdict_checks_rows_meeting_the_condition(ctx27):
+    # verdicts reads no shift sum on a row with lhs != rhs, but the cross
+    # total and D_0 checks still run there.  The corrupted layers: every
+    # point in h^-1(O_0) and in g^h(O_1) (cross total |O_0|), and those of
+    # test_zero_shift_defect_raises (D_0 = (q + 1)/2); both have lhs != rhs
+    gens, tab = ctx27
+    width = len(tab.order_idx)
+    in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), gens.p)
+    good = orbit_layers(tab, gens.group.perm_array((1, 2, 1, 0)))
+    for in_h0, vo, error, match in (
+            (np.ones(width, dtype=np.int32), np.full(width, 2, dtype=np.int8),
+             BalanceFamiliesDisagree, "agree"),
+            (in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8),
+             InvariantViolated, "shift 0")):
+        assert row_orbit_sums(tab, in_h0, vo)[0]
+        with pytest.raises(error, match=match):
+            verdicts(tab, np.stack([good[0], in_h0]), np.stack([good[1], vo]))
+
+
+def _layers(eng, mats):
+    return orbit_layers(eng.tab, eng.mobius_batch(mats))
 
 
 # -- double-coset surveys against full enumeration ---------------------------
@@ -353,43 +371,38 @@ def _outside_d(eng):
 
 
 def _brute_survey(eng):
-    """(total, satisfied, first_h, first_tries) with every h in G - D evaluated."""
+    """(total, satisfied, unbalanced, first_h, first_tries) with every h in
+    G - D evaluated."""
     mats = _outside_d(eng)
-    ok, _, _ = eng.condition_batch(mats)
+    ok, _, _, unbalanced = eng.criteria_batch(mats)
     hits = np.flatnonzero(ok)
     first = eng.gens.group.normalize(tuple(int(x) for x in mats[hits[0]])) \
         if hits.size else None
-    return mats.shape[0], int(ok.sum()), first, int(hits[0]) + 1 if hits.size else 0
-
-
-def _brute_census(eng):
-    """(total, orbit_sum, unbalanced) with every h in G - D evaluated."""
-    mats = _outside_d(eng)
-    differs, _, _, unbalanced = eng.criteria_batch(mats)
-    return mats.shape[0], int(differs.sum()), int(unbalanced.sum())
+    return (mats.shape[0], int(ok.sum()), int(unbalanced.sum()), first,
+            int(hits[0]) + 1 if hits.size else 0)
 
 
 @pytest.mark.parametrize("l, r, p", [(13, 1, 7), (5, 2, 13), (3, 3, 7), (37, 1, 19),
                                      (41, 1, 7)])
 def test_double_coset_survey_matches_full_enumeration(l, r, p, monkeypatch):
-    # each representative is evaluated once per survey or census, and the
-    # first_h walk reads the enumeration at most one chunk past first_h
+    # criteria_batch sees each representative exactly once, condition_batch
+    # only the first_h walk, which reads the enumeration at most one chunk
+    # past first_h
     eng = ConditionEngine(*_context(l, r, p))
-    want_survey, want_census = _brute_survey(eng), _brute_census(eng)
+    want = _brute_survey(eng)
     evaluated = {"condition_batch": [], "criteria_batch": []}
     for name, calls in evaluated.items():
         method = getattr(eng, name)
         monkeypatch.setattr(eng, name, lambda mats, method=method, calls=calls:
                             calls.append(mats.copy()) or method(mats))
     sv = eng.survey()
-    census = eng.census()
-    assert (sv.total, sv.satisfied, sv.first_h, sv.first_tries) == want_survey
-    assert (census.total, census.orbit_sum, census.unbalanced) == want_census
-    reps, *walk = evaluated["condition_batch"]
+    assert (sv.total, sv.satisfied, sv.unbalanced, sv.first_h, sv.first_tries) == want
+    reps = np.concatenate(evaluated["criteria_batch"])
     assert len({coset_key(eng.gens, tuple(row)) for row in reps.tolist()}) == len(reps) \
         == 2 * eng.q - 4
-    assert [m.tolist() for m in evaluated["criteria_batch"]] == [reps.tolist()]
-    assert sum(len(m) for m in walk) <= sv.first_tries + CHUNK_ROWS
+    walked = [row for m in evaluated["condition_batch"] for row in m.tolist()]
+    assert walked == _outside_d(eng)[:len(walked)].tolist()
+    assert sv.first_tries <= len(walked) <= sv.first_tries + CHUNK_ROWS
 
 
 def test_survey_and_census_memory_linear_in_q():
@@ -400,11 +413,20 @@ def test_survey_and_census_memory_linear_in_q():
     try:
         eng = ConditionEngine(gens, tab)
         eng.survey()
-        eng.census()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40 * 10 ** 6
+
+
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx27"])
+def test_orbit_sum_difference_is_the_sum_of_shift_sums(ctx, request):
+    # lhs - rhs = sum_b D_b = D_0 + the shift sums, and D_0 = 0: a row
+    # with lhs != rhs is unbalanced, so the balance scan may skip it
+    eng = ConditionEngine(*request.getfixturevalue(ctx))
+    mats = _outside_d(eng)
+    _, lhs, rhs = eng.condition_batch(mats)
+    assert np.array_equal(lhs - rhs, shift_sums(eng.tab, *_layers(eng, mats)).sum(axis=-1))
 
 
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx27"])
@@ -438,8 +460,6 @@ def test_repeated_double_coset_raises(ctx27, monkeypatch):
     monkeypatch.setattr(eng, "_cayley_rows", repeating)
     with pytest.raises(InvariantViolated, match="double coset"):
         eng.survey()
-    with pytest.raises(InvariantViolated, match="double coset"):
-        eng.census()
 
 
 def test_double_coset_survey_rejects_even_q(ctx16):
@@ -473,3 +493,35 @@ def test_verdicts_constant_on_double_cosets(q, seed, i, j):
     verdicts = [col.tolist() for col in eng.criteria_batch(rows)]
     assert all(col[0] == col[1] for col in verdicts)
     assert coset_key(gens, h) == coset_key(gens, moved)
+
+
+_BALANCED = {}
+
+
+def _balanced_rows(q):
+    """The rows of G - D whose every shift sum is 0."""
+    if q not in _BALANCED:
+        eng = _engine(q)
+        mats = _outside_d(eng)
+        _BALANCED[q] = mats[~shift_sums(eng.tab, *_layers(eng, mats)).any(axis=-1)]
+    return _BALANCED[q]
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(_PROPERTY_PAIRS)), seed=st.integers(0, 2 ** 32))
+def test_lazy_balance_verdict_matches_full_scan(q, seed):
+    # criteria_batch reads the shift sums only where lhs == rhs; on random
+    # rows of G - D, with balanced rows mixed in wherever the pair has
+    # them, its verdict is the full scan's
+    eng = _engine(q)
+    gens = eng.gens
+    rng = random.Random(seed)
+    rows = [random_outside_dihedralizer(gens, rng) for _ in range(48)]
+    balanced = _balanced_rows(q).tolist()
+    assert len(balanced) == {27: 392}.get(q, 0)
+    rows += rng.sample(balanced, min(8, len(balanced)))
+    rng.shuffle(rows)
+    rows = np.array(rows, dtype=np.int64)
+    full = shift_sums(eng.tab, *_layers(eng, rows)).any(axis=-1)
+    assert np.array_equal(eng.criteria_batch(rows)[3], full)
+    assert (~full).sum() >= min(8, len(balanced))

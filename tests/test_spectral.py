@@ -393,7 +393,7 @@ def test_certificate_matches_balance_criterion(ctx13, ctx25, ctx27, ctx37):
 
 
 def test_certificate_decides_engine_balance_q27(ctx27):
-    # the engine's unbalanced flag, which the density census counts, is the
+    # the engine's unbalanced flag, which the density survey counts, is the
     # verdict of the exact certificate; q = 27 has balanced h in the sample
     gens, tab = ctx27
     rng = random.Random(11)
