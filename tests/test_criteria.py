@@ -338,6 +338,16 @@ def test_zero_shift_defect_raises(ctx27):
         shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
 
 
+def test_engine_census_q27(ctx27):
+    # the census counts (orbit-sum condition, unbalanced, total) come from
+    # the one survey and agree with every h in G - D evaluated
+    eng = ConditionEngine(*ctx27)
+    sv = eng.survey()
+    assert (sv.satisfied, sv.unbalanced, sv.total) == (8624, 9408, 9800)
+    total, satisfied, unbalanced, _, _ = _brute_survey(eng)
+    assert (satisfied, unbalanced, total) == (8624, 9408, 9800)
+
+
 def test_lazy_verdict_checks_rows_meeting_the_condition(ctx27):
     # verdicts reads no shift sum on a row with lhs != rhs, but the cross
     # total and D_0 checks still run there.  The corrupted layers: every
