@@ -4,14 +4,17 @@ point-permutation rows.
 For h outside the dihedralizer D of a, both verdicts are integer counts
 over the a-orbits of the orbit table, read along a row perm[x] = h(x):
 
-* [x in h^-1(O_0)] and the label 1 + k of the orbit g^h(O_k) holding x
-  (g^h = h^-1 g h, read through the table's g^-1), in a-power order: a
-  block of p per a-orbit, summed or correlated after a reshape;
-* the weighted sums over a-orbits whose inequality is the stronger,
-  sufficient condition: it implies unbalance but not conversely, since
-  lhs - rhs is the sum of D_b over all p shifts and D_0 = 0.  The sweep
-  searches for it because one h meeting it settles the pair, and
-  ``verdicts`` reads the shift sums only on the rows where lhs == rhs;
+* the signed layer pair of ``orbit_layers``, as (..., a-orbit, a-power)
+  through the table's ``rows``: layer = [x in h^-1(O_0)], and cross =
+  +[x in g^h(O_1)] on O_0 and -[x in g^h(O_0)] on O_1 (g^h = h^-1 g h,
+  read through the table's g^-1);
+* lhs and rhs, the positive and negative parts of the per-orbit
+  products (sum of layer) * (sum of cross), whose inequality is the
+  stronger, sufficient condition: it implies unbalance but not
+  conversely, since lhs - rhs is the sum of D_b over all p shifts and
+  D_0 = 0.  The sweep searches for it because one h meeting it settles
+  the pair, and ``verdicts`` reads the shift sums only on the rows where
+  lhs == rhs;
 * the balance defects D_b = m[b][0][0][1] - m[b][0][1][0] of the triple
   counts m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|, as cyclic
   correlations along each a-orbit.  The exact certificate of the spectral
@@ -38,46 +41,37 @@ from .projective import CanonicalGenerators, Element
 
 
 def orbit_layers(tab: OrbitTable, perm: np.ndarray):
-    """Per-row indicators read along the a-orbits, in a-power order.
-
-    Returns ``(in_h0, vo)``: ``in_h0`` is [x in h^-1(O_0)] and ``vo`` is
-    1 + k for the g^h-orbit image g^h(O_k) containing x, g^h = h^-1 g h.
+    """The signed layer pair ``(layer, cross)`` of each row, read along the
+    a-orbits as (..., orbit, power): ``layer`` is [x in h^-1(O_0)] and
+    ``cross`` is vo - glabel, vo = 1 + k for the image g^h(O_k) holding x
+    (g^h = h^-1 g h), so +[x in g^h(O_1)] on O_0 and -[x in g^h(O_0)] on O_1.
     """
     lab = np.zeros(perm.shape, dtype=np.int8)  # lab[y] = 1 + index of h^-1(y)
     np.put_along_axis(lab, perm, tab.glabel, axis=-1)
     vo = np.take_along_axis(lab, tab.perm_g_inv[perm], axis=-1)
-    return tab.in_o0[perm][..., tab.order_idx], vo[..., tab.order_idx]
+    return tab.rows((tab.glabel == 1).astype(np.int8)[perm]), tab.rows(vo - tab.glabel)
 
 
-def _by_orbit(tab: OrbitTable, layer: np.ndarray) -> np.ndarray:
-    """A layer with its last axis split into (a-orbit, a-power)."""
-    return layer.reshape(layer.shape[:-1] + (-1, tab.gens.p))
-
-
-def orbit_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
-    """(lhs != rhs, lhs, rhs) of the orbit-sum condition, per row."""
-    vo = _by_orbit(tab, vo)
-    c1 = _by_orbit(tab, in_h0).sum(axis=-1)
-    c2_0 = (vo == 1).sum(axis=-1)
-    c2_1 = (vo == 2).sum(axis=-1)
-    lhs = (c1[..., tab.blocks0] * c2_1[..., tab.blocks0]).sum(axis=-1)
-    rhs = (c1[..., tab.blocks1] * c2_0[..., tab.blocks1]).sum(axis=-1)
+def orbit_sums(layer: np.ndarray, cross: np.ndarray):
+    """(lhs != rhs, lhs, rhs) of the orbit-sum condition, per row: the
+    positive and negative parts of the per-orbit products (sum of layer) *
+    (sum of cross), which are >= 0 on the a-orbits of O_0 and <= 0 on
+    those of O_1, so lhs - rhs is the sum of D_b over all p shifts."""
+    prod = layer.sum(axis=-1) * cross.sum(axis=-1)
+    lhs = np.maximum(prod, 0).sum(axis=-1)
+    rhs = np.maximum(-prod, 0).sum(axis=-1)
     return lhs != rhs, lhs, rhs
 
 
-def _checked_layers(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
-    """The signed cross indicator and [x in h^-1(O_0)], by a-orbit, after
-    the cross-total and D_0 checks that every balance verdict makes."""
-    cross = (_by_orbit(tab, vo) == tab.cross_label) * tab.cross_sign
-    layer = _by_orbit(tab, in_h0).astype(np.int8)
+def _check_layers(layer: np.ndarray, cross: np.ndarray) -> None:
+    """The cross-total and D_0 checks that every balance verdict makes."""
     if cross.sum(axis=(-2, -1)).any():
         raise BalanceFamiliesDisagree("the two balance families must agree shift by shift")
     if np.einsum("...kt,...kt->...", cross, layer, dtype=np.int32).any():
         raise InvariantViolated("the balance defect at shift 0 is not zero")
-    return cross, layer
 
 
-def _shift_sums(cross: np.ndarray, layer: np.ndarray) -> np.ndarray:
+def _shift_sums(layer: np.ndarray, cross: np.ndarray) -> np.ndarray:
     p = layer.shape[-1]
     twice = np.concatenate([layer, layer], axis=-1)  # x_(t-b) and x_(t+b) as windows
     return np.stack([np.einsum("...kt,...kt->...", cross,
@@ -86,29 +80,29 @@ def _shift_sums(cross: np.ndarray, layer: np.ndarray) -> np.ndarray:
                      for b in range(1, (p - 1) // 2 + 1)], axis=-1)
 
 
-def shift_sums(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray) -> np.ndarray:
+def shift_sums(layer: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """D_b + D_-b for the shifts 0 < b <= (p-1)/2, per row; shift b is
     balanced iff its sum is 0.
 
     D_b is a cyclic correlation along each a-orbit x_t = a^t(z): the
-    signed cross indicator (+[x in g^h(O_1)] on O_0, -[x in g^h(O_0)] on
-    O_1) against [x_(t-b) in h^-1(O_0)].  The family with first index 1
-    correlates against h^-1(O_1) instead, so it equals the cross total
-    minus D_b shift by shift; the cross total must vanish, else
-    BalanceFamiliesDisagree.  D_0 must vanish too (the b = 0 symmetry),
-    else InvariantViolated.
+    signed cross indicator against [x_(t-b) in h^-1(O_0)].  The family
+    with first index 1 correlates against h^-1(O_1) instead, so it equals
+    the cross total minus D_b shift by shift; the cross total must
+    vanish, else BalanceFamiliesDisagree.  D_0 must vanish too (the b = 0
+    symmetry), else InvariantViolated.
     """
-    return _shift_sums(*_checked_layers(tab, in_h0, vo))
+    _check_layers(layer, cross)
+    return _shift_sums(layer, cross)
 
 
-def verdicts(tab: OrbitTable, in_h0: np.ndarray, vo: np.ndarray):
+def verdicts(layer: np.ndarray, cross: np.ndarray):
     """(lhs != rhs, lhs, rhs, unbalanced) per row, ``unbalanced`` being
     ``shift_sums(...).any(axis=-1)`` read only where lhs == rhs."""
-    differs, lhs, rhs = orbit_sums(tab, in_h0, vo)
-    cross, layer = _checked_layers(tab, in_h0, vo)
+    differs, lhs, rhs = orbit_sums(layer, cross)
+    _check_layers(layer, cross)
     unbalanced, open_rows = np.array(differs), ~differs
     if open_rows.any():  # _shift_sums costs (p-1)/2 numpy calls even on no rows
-        unbalanced[open_rows] = _shift_sums(cross[open_rows], layer[open_rows]).any(axis=-1)
+        unbalanced[open_rows] = _shift_sums(layer[open_rows], cross[open_rows]).any(axis=-1)
     return differs, lhs, rhs, unbalanced
 
 
@@ -134,7 +128,7 @@ def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,
     is sufficient for the exact certificate but not necessary.  At q = 27,
     p = 7, 8624 of the 9800 h in G - D meet it while 9408 are certified.
     """
-    differs, lhs, rhs = orbit_sums(tab, *orbit_layers(tab, _perm_row(gens, h)))
+    differs, lhs, rhs = orbit_sums(*orbit_layers(tab, _perm_row(gens, h)))
     return bool(differs), int(lhs), int(rhs)
 
 
@@ -154,8 +148,8 @@ class CriterionReport:
 def criterion_report(gens: CanonicalGenerators, tab: OrbitTable,
                      h: Element) -> CriterionReport:
     layers = orbit_layers(tab, _perm_row(gens, h))
-    differs, lhs, rhs = orbit_sums(tab, *layers)
-    sums = tuple(shift_sums(tab, *layers).tolist())
+    differs, lhs, rhs = orbit_sums(*layers)
+    sums = tuple(shift_sums(*layers).tolist())
     witness = next((b for b, s in enumerate(sums, 1) if s), None)
     return CriterionReport(h=h, sums_differ=bool(differs), lhs=int(lhs), rhs=int(rhs),
                            unbalanced=witness is not None, witness_b=witness,

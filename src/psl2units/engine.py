@@ -94,7 +94,7 @@ class ConditionEngine:
 
     def condition_batch(self, mats: np.ndarray):
         """(lhs != rhs, lhs, rhs) of the companion condition, per row."""
-        return orbit_sums(self.tab, *orbit_layers(self.tab, self.mobius_batch(mats)))
+        return orbit_sums(*orbit_layers(self.tab, self.mobius_batch(mats)))
 
     def criteria_batch(self, mats: np.ndarray):
         """(lhs != rhs, lhs, rhs, unbalanced) per row, from one Moebius pass.
@@ -102,7 +102,7 @@ class ConditionEngine:
         ``unbalanced`` matches ``criteria.criterion_report(...).unbalanced``,
         the verdict of the exact certificate for h outside D.
         """
-        return verdicts(self.tab, *orbit_layers(self.tab, self.mobius_batch(mats)))
+        return verdicts(*orbit_layers(self.tab, self.mobius_batch(mats)))
 
     # -- F_{q^2} and the Cayley map ---------------------------------------
 

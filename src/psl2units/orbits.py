@@ -1,13 +1,14 @@
 """Orbit decomposition of the projective line under g and a = g^d.
 
 The table fixes, once per (q, p), the layout every criterion and the
-exact certificate read point-permutation rows through, as numpy arrays
-over the point indices: g's inverse permutation, the label 1 + i of the
-g-orbit O_i holding each point (O_0 is the one through infinity), and
-the d'*d a-orbits laid end to end in ``order_idx``, p points each.  The
-a-orbits come g-orbit by g-orbit, the one through g^j(start) j-th, and
-each is in a-power order from its minimal point z: a^b(z) sits at offset
-b of its block, so ``order_idx.reshape(-1, p)`` has one a-orbit per row.
+exact certificate read point values through, as numpy arrays over the
+point indices: g's inverse permutation, the label 1 + i of the g-orbit
+O_i holding each point (O_0 is the one through infinity), and the d'*d
+a-orbits laid end to end in ``order_idx``, p points each.  ``rows``
+reads values along them as (..., orbit, power).  The a-orbits come
+g-orbit by g-orbit, the one through g^j(start) j-th, and each is in
+a-power order from its minimal point z: a^b(z) sits at power b, which
+``build_orbits`` checks against a's own row.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ class OrbitTable:
     gens: CanonicalGenerators
     perm_g_inv: np.ndarray               # point -> g^-1(point)
     glabel: np.ndarray                   # point -> 1 + i, int8
-    in_o0: np.ndarray                    # point -> [point in O_0], int32
     order_idx: np.ndarray                # the a-orbits end to end, in a-power order
-    blocks0: np.ndarray                  # a-orbits inside O_0
-    blocks1: np.ndarray                  # a-orbits inside O_1
-    cross_label: np.ndarray              # per a-orbit: 2 inside O_0, 1 inside O_1
-    cross_sign: np.ndarray               # per a-orbit: +1 inside O_0, -1 inside O_1
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """values[..., x] read along the a-orbits: entry (..., o, b) is the
+        value at a^b(z) for the minimal point z of the o-th a-orbit."""
+        return values[..., self.order_idx].reshape(values.shape[:-1] + (-1, self.gens.p))
 
 
 def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
@@ -60,20 +61,15 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     rows = np.array(walks, dtype=np.int64).reshape(d_prime, p, d).transpose(0, 2, 1)
     rows = rows.reshape(-1, p)
     shift = rows.argmin(axis=1)[:, None]
-    order_idx = np.take_along_axis(rows, (shift + np.arange(p)) % p, axis=1).reshape(-1)
-    if (np.bincount(order_idx, minlength=n) != 1).any():
+    rows = np.take_along_axis(rows, (shift + np.arange(p)) % p, axis=1)
+    if (np.bincount(rows.reshape(-1), minlength=n) != 1).any():
         raise InvariantViolated(f"q={q}: the a-orbits do not cover every point exactly once")
+    if not np.array_equal(gens.group.perm_array(gens.a)[rows], np.roll(rows, -1, axis=1)):
+        raise InvariantViolated(f"q={q}: a does not step one place along every a-orbit")
 
+    order_idx = rows.reshape(-1)
     glabel = np.empty(n, dtype=np.int8)
     glabel[order_idx] = 1 + np.arange(n) // orbit_len
     perm_g_inv = np.empty(n, dtype=np.int64)
     perm_g_inv[perm_g] = np.arange(n)
-    iblocks = np.repeat(np.arange(d_prime), d)  # the g-orbit of each a-orbit
-    # a-orbits of O_0 look for g^h(O_1) (label 2) and count +1; a-orbits of
-    # O_1 look for g^h(O_0) (label 1) and count -1
-    return OrbitTable(gens=gens, perm_g_inv=perm_g_inv, glabel=glabel,
-                      in_o0=(glabel == 1).astype(np.int32), order_idx=order_idx,
-                      blocks0=np.flatnonzero(iblocks == 0),
-                      blocks1=np.flatnonzero(iblocks == 1),
-                      cross_label=np.where(iblocks == 0, 2, 1).astype(np.int8)[:, None],
-                      cross_sign=np.where(iblocks == 0, 1, -1).astype(np.int8)[:, None])
+    return OrbitTable(gens=gens, perm_g_inv=perm_g_inv, glabel=glabel, order_idx=order_idx)

@@ -73,7 +73,10 @@ class PSL2:
         raise InvariantViolated("the zero matrix is not a group element")
 
     def make(self, a11: int, a12: int, a21: int, a22: int) -> Element:
-        """Validate determinant 1 and return the canonical representative."""
+        """Validate encodings and determinant 1; return the canonical representative."""
+        entries = (a11, a12, a21, a22)
+        if not all(0 <= e < self.q for e in entries):
+            raise ValueError(f"entries {list(entries)} are not all encodings in 0..{self.q - 1}")
         fq = self.fq
         det = fq.sub(fq.mul(a11, a22), fq.mul(a12, a21))
         if det != 1:

@@ -12,19 +12,21 @@ orthogonality test reduces to constancy of integer sequences
 magnitudes, where only the ordering matters and the gaps are large, and
 in the independent dense oracle used to cross-check the exact verdict.
 
-The exact certificate reads everything from at most four permutation
+The exact certificate reads everything from at most three permutation
 rows.  The displacement tau = rho(v - 1) of the candidate
 v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j, built by
 ``row_displacement`` from the rows of x and y alone, since the action is
 a homomorphism: (x, y) = (g, h) for odd q and (sigma, g) for even q.
-The image vector, the kernel functional, the profiles along the a-orbits
-and the projection coefficients are numpy gathers from the rows of h and
-a and from the orbit table's arrays (g^-1, the g-orbit labels and the
-a-orbits in a-power order).  tau^2 = 0 is decided exactly, in int64 and
-without a BLAS product, by ``square_is_nonzero``: every column of tau^2 is
-tau times a column of tau, so tau is multiplied only by one column of each
-distinct kind, which costs O(n^2) for the at most three kinds a correct
-tau = psi phi^T has.  Once tau = psi phi^T is checked exactly, its rank is
+The image vector psi and the kernel functional phi are numpy gathers
+from the row of h and the orbit table (g^-1 and the g-orbit labels).
+Read once along the h-images of the a-orbits through the table's
+``rows``, phi and psi give the profiles that decide escape and meet, and
+their cyclic correlation gives the projection coefficients.  tau^2 = 0
+is decided exactly, in int64 and without a BLAS product, by
+``square_is_nonzero``: every column of tau^2 is tau times a column of
+tau, so tau is multiplied only by one column of each distinct kind,
+which costs O(n^2) for the at most three kinds a correct tau = psi phi^T
+has.  Once tau = psi phi^T is checked exactly, its rank is
 1 iff psi and phi are nonzero.  The group ring route (``nilpotent_part``
 of ``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is
 the dense oracle's and the tests'.
@@ -37,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, InvariantViolated
 from .group_ring import GroupRingElement, bicyclic_right
@@ -244,25 +247,23 @@ def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple
 # Projections and the exact certificate
 
 
-def projection_coeffs(gens: CanonicalGenerators, perm_h: np.ndarray,
-                      w, phi) -> tuple[int, ...]:
+def projection_coeffs(phi_prof: np.ndarray, w_prof: np.ndarray) -> tuple[int, ...]:
     """Coefficient sequence c with phi(pi_b0(w)) = (1/p) sum_b c_b zeta^(b b0).
 
-    c_b applies phi to x -> w[h a^b h^-1 (x)] + w[h a^-b h^-1 (x)], where
-    perm_h is the row h(x) of h; the projection of w onto the b0-eigenspace
-    pair escapes ker(phi) for one (equivalently every) b0 != 0 iff the
-    sequence is non-constant.
+    The profiles are phi and w read along the h-images of the a-orbits,
+    ``tab.rows(phi[perm_h])``: phi_prof[o, t] = phi(h a^t(z_o)).  c_b applies
+    phi to x -> w[h a^b h^-1 (x)] + w[h a^-b h^-1 (x)], which is the cyclic
+    correlation of the two profiles at +b and -b, summed over the a-orbits.
+    The projection of w onto the b0-eigenspace pair escapes ker(phi) for
+    one (equivalently every) b0 != 0 iff the sequence is non-constant.
     """
-    p = gens.p
-    perm_a = gens.group.perm_array(gens.a)
-    cur = np.empty_like(perm_h)  # a^b h^-1, from b = 0
-    cur[perm_h] = np.arange(len(perm_h))
-    conj = np.empty((p, len(perm_h)), dtype=np.int64)  # conj[b][x] = h a^b h^-1 (x)
-    for b in range(p):
-        conj[b] = perm_h[cur]
-        cur = perm_a[cur]
-    wc = np.asarray(w)[conj]
-    return tuple(((wc + wc[-np.arange(p) % p]) @ np.asarray(phi)).tolist())
+    # For odd q, c_b = 2(D_b + D_-b) of criteria.shift_sums; the correlation
+    # is computed here on its own so that the certificate stays a second
+    # exact route to the balance verdict, not a reading of the first.
+    p = phi_prof.shape[-1]
+    windows = sliding_window_view(np.concatenate([w_prof, w_prof], axis=-1), p, axis=-1)
+    corr = np.einsum("ot,obt->b", phi_prof, windows[:, :p])  # sum_t phi_t w_(t+b)
+    return tuple((corr + corr[-np.arange(p) % p]).tolist())
 
 
 def _odd_vectors(tab: OrbitTable, perm_h: np.ndarray):
@@ -270,7 +271,7 @@ def _odd_vectors(tab: OrbitTable, perm_h: np.ndarray):
     is 1_{h(O_0)} - 1_{gh(O_0)}, and the kernel functional (+1 on O_0, -1
     on O_1), for the row perm_h of h."""
     ind = np.empty_like(perm_h)  # [x in h(O_0)]
-    ind[perm_h] = tab.in_o0
+    ind[perm_h] = tab.glabel == 1
     return ind - ind[tab.perm_g_inv], np.where(tab.glabel == 1, 1, -1)
 
 
@@ -311,13 +312,6 @@ class ExactCertificate:
 
     def as_dict(self):
         return {**asdict(self), "h": list(self.h)}
-
-
-def _profile_varies(tab: OrbitTable, perm_h: np.ndarray, vec: np.ndarray) -> bool:
-    """True iff vec is non-constant along the h-image of some a-orbit; the
-    profiles are vec read along those images in a-power order, one per row."""
-    prof = vec[perm_h[tab.order_idx]].reshape(-1, tab.gens.p)
-    return bool((prof != prof[:, :1]).any())
 
 
 def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int,
@@ -371,9 +365,10 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     # eigenspaces out of the kernel hyperplane and the image vector
     # non-orthogonal to some intermediate eigenspace.  (The 0-shift
     # eigenspace genuinely sits inside the hyperplane when q + 1 = p.)
-    escapes = _profile_varies(tab, perm_h, phi)
-    meets = _profile_varies(tab, perm_h, psi)
-    projections_escape = not vanishes(projection_coeffs(gens, perm_h, psi, phi))
+    # phi and psi read along the h-images of the a-orbits, one a-orbit a row
+    phi_prof, psi_prof = tab.rows(phi[perm_h]), tab.rows(psi[perm_h])
+    escapes, meets = (bool((prof != prof[:, :1]).any()) for prof in (phi_prof, psi_prof))
+    projections_escape = not vanishes(projection_coeffs(phi_prof, psi_prof))
 
     return ExactCertificate(
         q=gens.q, p=gens.p, k=k, m=m, parity=parity, h=h,
@@ -484,7 +479,7 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     perm_h = group.perm_array(h)
     zeta = np.exp(-2j * np.pi / p)
     plus_cols, minus_cols, zero_cols = [], [], []
-    for images in perm_h[tab.order_idx].reshape(-1, p).tolist():  # h-image of each a-orbit
+    for images in tab.rows(perm_h).tolist():  # h-image of each a-orbit
         for bp in range(p):
             col = np.zeros(n, dtype=complex)
             for c_idx, x in enumerate(images):

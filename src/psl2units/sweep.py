@@ -72,8 +72,7 @@ class SweepRecord:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
     def digest(self) -> str:
-        payload = {k: v for k, v in self.to_json_dict().items() if k != "elapsed_ms"}
-        return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return _payload_digest(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepRecord":
@@ -85,6 +84,12 @@ class SweepRecord:
                    t_encoding=d["t_encoding"], h=d.get("h"), tries=d["tries"],
                    satisfied=d["satisfied"], fraction=frac,
                    elapsed_ms=d["elapsed_ms"], mode=d["mode"])
+
+
+def _payload_digest(record: dict) -> str:
+    """sha256 of a record's JSON object without its ``elapsed_ms``."""
+    payload = {k: v for k, v in record.items() if k != "elapsed_ms"}
+    return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def admissible_primes(q: int) -> list[int]:
@@ -172,20 +177,24 @@ def _journal_line(key: tuple[int, int], digest: str) -> str:
 
 
 def _json_lines(path: Path):
-    """(line, decoded) for each line of path that decodes; a line torn by an
-    interrupted write does not, and is dropped so that its pair runs again."""
+    """(line, decoded) for each line of path that decodes to a JSON object
+    with integer q and p; any other line, such as one torn by an
+    interrupted write, is dropped so that its pair runs again."""
     if not path.exists():
         return
     for line in path.read_text().splitlines():
         try:
-            yield line, json.loads(line)
+            decoded = json.loads(line)
         except json.JSONDecodeError:
             continue
+        if isinstance(decoded, dict) and all(type(decoded.get(k)) is int for k in ("q", "p")):
+            yield line, decoded
 
 
 def _load_journal(out_path: Path) -> dict[tuple[int, int], str]:
     return {(entry["q"], entry["p"]): entry["digest"]
-            for _, entry in _json_lines(_journal_path(out_path))}
+            for _, entry in _json_lines(_journal_path(out_path))
+            if "digest" in entry}
 
 
 def _compact_output(out_path: Path,
@@ -195,8 +204,7 @@ def _compact_output(out_path: Path,
     kept: dict[tuple[int, int], str] = {}
     for line, rec in _json_lines(out_path):
         key = (rec["q"], rec["p"])
-        if key in done and key not in kept \
-                and SweepRecord.from_json_dict(rec).digest() == done[key]:
+        if key in done and key not in kept and _payload_digest(rec) == done[key]:
             kept[key] = line
     return kept
 

@@ -198,8 +198,9 @@ def test_conjugate_labels_read_through_stored_inverse(field, seed):
     for k, orbit in enumerate(orbit_lists(gens)[0]):
         for pt in orbit:
             want[perm_gh[pt]] = 1 + k  # perm_gh[pt] lies in g^h(O_k)
-    _, vo = orbit_layers(tab, G.perm_array(h))
-    assert vo.tolist() == [want[pt] for pt in tab.order_idx]
+    # the signed cross layer is those labels minus the points' own labels
+    _, cross = orbit_layers(tab, G.perm_array(h))
+    assert np.array_equal(cross, tab.rows(np.array(want) - tab.glabel))
 
 
 def test_search_companion_seeded(ctx13):
@@ -317,25 +318,27 @@ def test_engine_balance_matches_scalar(ctx13, ctx25, ctx27, ctx37):
                 companion_condition(gens, tab, h) == orbit_sums(gens, h)
 
 
+def _signed_rows(tab, on_o0, on_o1):
+    """A layer read along the table's rows: on_o0 on O_0, on_o1 on O_1."""
+    return tab.rows(np.where(tab.glabel == 1, on_o0, on_o1).astype(np.int8))
+
+
 def test_engine_balance_mismatch_raises(ctx27):
     # inconsistent layers: every point in g^h(O_1) and none in h^-1(O_0);
     # the family with first index 0 sees balance, the one with first index
     # 1 does not
     _, tab = ctx27
-    width = len(tab.order_idx)
-    vo = np.full((1, width), 2, dtype=np.int8)
-    in_h0 = np.zeros((1, width), dtype=np.int32)
+    cross = _signed_rows(tab, 1, 0)
     with pytest.raises(BalanceFamiliesDisagree):
-        shift_sums(tab, in_h0, vo)
+        shift_sums(np.zeros_like(cross)[None], cross[None])
 
 
 def test_zero_shift_defect_raises(ctx27):
     # layers whose cross total vanishes but whose D_0 is (q + 1)/2: O_0
     # inside both h^-1(O_0) and g^h(O_1), O_1 inside g^h(O_0)
     _, tab = ctx27
-    in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), tab.gens.p)
     with pytest.raises(InvariantViolated, match="shift 0"):
-        shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
+        shift_sums(_signed_rows(tab, 1, 0), _signed_rows(tab, 1, -1))
 
 
 def test_engine_census_q27(ctx27):
@@ -354,17 +357,13 @@ def test_lazy_verdict_checks_rows_meeting_the_condition(ctx27):
     # point in h^-1(O_0) and in g^h(O_1) (cross total |O_0|), and those of
     # test_zero_shift_defect_raises (D_0 = (q + 1)/2); both have lhs != rhs
     gens, tab = ctx27
-    width = len(tab.order_idx)
-    in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), gens.p)
     good = orbit_layers(tab, gens.group.perm_array((1, 2, 1, 0)))
-    for in_h0, vo, error, match in (
-            (np.ones(width, dtype=np.int32), np.full(width, 2, dtype=np.int8),
-             BalanceFamiliesDisagree, "agree"),
-            (in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8),
-             InvariantViolated, "shift 0")):
-        assert row_orbit_sums(tab, in_h0, vo)[0]
+    for layer, cross, error, match in (
+            (_signed_rows(tab, 1, 1), _signed_rows(tab, 1, 0), BalanceFamiliesDisagree, "agree"),
+            (_signed_rows(tab, 1, 0), _signed_rows(tab, 1, -1), InvariantViolated, "shift 0")):
+        assert row_orbit_sums(layer, cross)[0]
         with pytest.raises(error, match=match):
-            verdicts(tab, np.stack([good[0], in_h0]), np.stack([good[1], vo]))
+            verdicts(np.stack([good[0], layer]), np.stack([good[1], cross]))
 
 
 def _layers(eng, mats):
@@ -436,7 +435,7 @@ def test_orbit_sum_difference_is_the_sum_of_shift_sums(ctx, request):
     eng = ConditionEngine(*request.getfixturevalue(ctx))
     mats = _outside_d(eng)
     _, lhs, rhs = eng.condition_batch(mats)
-    assert np.array_equal(lhs - rhs, shift_sums(eng.tab, *_layers(eng, mats)).sum(axis=-1))
+    assert np.array_equal(lhs - rhs, shift_sums(*_layers(eng, mats)).sum(axis=-1))
 
 
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx27"])
@@ -513,7 +512,7 @@ def _balanced_rows(q):
     if q not in _BALANCED:
         eng = _engine(q)
         mats = _outside_d(eng)
-        _BALANCED[q] = mats[~shift_sums(eng.tab, *_layers(eng, mats)).any(axis=-1)]
+        _BALANCED[q] = mats[~shift_sums(*_layers(eng, mats)).any(axis=-1)]
     return _BALANCED[q]
 
 
@@ -532,6 +531,6 @@ def test_lazy_balance_verdict_matches_full_scan(q, seed):
     rows += rng.sample(balanced, min(8, len(balanced)))
     rng.shuffle(rows)
     rows = np.array(rows, dtype=np.int64)
-    full = shift_sums(eng.tab, *_layers(eng, rows)).any(axis=-1)
+    full = shift_sums(*_layers(eng, rows)).any(axis=-1)
     assert np.array_equal(eng.criteria_batch(rows)[3], full)
     assert (~full).sum() >= min(8, len(balanced))

@@ -156,17 +156,22 @@ except InvariantViolated:
 
 
 def test_orbit_checks_survive_python_O():
+    # a g of the wrong order is refused, and so is an a with the orbits of
+    # the true a but the wrong step along them (a^2 or a^-1)
     assert _rejected_under_python_O("""
 import dataclasses
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
-try:
-    build_orbits(dataclasses.replace(gens, g=gens.sigma))
-except InvariantViolated:
-    print("rejected")
-""") == "rejected"
+G = gens.group
+build_orbits(gens)
+for name, wrong in (("g", gens.sigma), ("a", G.power(gens.a, 2)), ("a", G.inverse(gens.a))):
+    try:
+        build_orbits(dataclasses.replace(gens, **{name: wrong}))
+    except InvariantViolated as exc:
+        print("step" in str(exc))
+""") == "False\nTrue\nTrue"
 
 
 def test_double_coset_check_survives_python_O():
@@ -200,9 +205,10 @@ from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 tab = build_orbits(make_generators(build_setup(PrimePower.from_q(27)), 7))
-in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), 7)
+def signed(on_o0, on_o1):
+    return tab.rows(np.where(tab.glabel == 1, on_o0, on_o1).astype(np.int8))
 try:
-    shift_sums(tab, in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))
+    shift_sums(signed(1, 0), signed(1, -1))
 except InvariantViolated as exc:
     print("shift 0" in str(exc))
 """) == "True"
@@ -219,13 +225,12 @@ from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 tab = build_orbits(make_generators(build_setup(PrimePower.from_q(27)), 7))
-width = len(tab.order_idx)
-in_o0 = np.repeat(np.isin(np.arange(len(tab.cross_sign)), tab.blocks0), 7)
-for in_h0, vo in ((np.ones(width, dtype=np.int32), np.full(width, 2, dtype=np.int8)),
-                  (in_o0.astype(np.int32), np.where(in_o0, 2, 1).astype(np.int8))):
-    print(bool(orbit_sums(tab, in_h0[None], vo[None])[0][0]))
+def signed(on_o0, on_o1):
+    return tab.rows(np.where(tab.glabel == 1, on_o0, on_o1).astype(np.int8))[None]
+for layer, cross in ((signed(1, 1), signed(1, 0)), (signed(1, 0), signed(1, -1))):
+    print(bool(orbit_sums(layer, cross)[0][0]))
     try:
-        verdicts(tab, in_h0[None], vo[None])
+        verdicts(layer, cross)
     except (BalanceFamiliesDisagree, InvariantViolated) as exc:
         print(type(exc).__name__)
 """) == "True\nBalanceFamiliesDisagree\nTrue\nInvariantViolated"

@@ -20,7 +20,7 @@ def _coords(tab):
     pos = np.empty(len(tab.order_idx), dtype=np.int64)
     pos[tab.order_idx] = np.arange(len(pos))
     coords = [(x // (p * d), x // p % d, x % p) for x in pos.tolist()]
-    return coords, tab.order_idx.reshape(gens.d_prime, d, p)[:, :, 0].tolist()
+    return coords, tab.rows(np.arange(len(pos)))[:, 0].reshape(gens.d_prime, d).tolist()
 
 
 def _setup_with_trace(l, r, target_t):
@@ -56,8 +56,9 @@ def test_orbit_sizes(ctx13, ctx16, ctx25, ctx27):
         q, p, d, dp = gens.q, gens.p, gens.d, gens.d_prime
         assert sorted(set(tab.glabel.tolist())) == list(range(1, dp + 1))
         assert np.bincount(tab.glabel).tolist()[1:] == [p * d] * dp
-        rows = tab.order_idx.reshape(-1, p)  # one a-orbit of p points a row
+        rows = tab.rows(np.arange(q + 1))  # one a-orbit of p points a row
         assert rows.shape == (dp * d, p)
+        assert np.array_equal(tab.rows(np.stack([np.arange(q + 1)] * 3) * 2), [2 * rows] * 3)
         # d a-orbits inside each g-orbit, the a-orbits of O_i in block i
         assert (tab.glabel[rows] == np.repeat(np.arange(1, dp + 1), d)[:, None]).all()
         assert tab.glabel[INF] == 1
@@ -92,7 +93,8 @@ def test_decompose_roundtrip(ctx13, ctx27):
 def test_representatives_are_minimal(ctx27):
     gens, tab = ctx27
     _, reps = _coords(tab)
-    for i, row in enumerate(tab.order_idx.reshape(gens.d_prime, gens.d, gens.p).tolist()):
+    rows = tab.rows(np.arange(gens.q + 1)).reshape(gens.d_prime, gens.d, gens.p)
+    for i, row in enumerate(rows.tolist()):
         for j, orbit in enumerate(row):
             assert reps[i][j] == min(orbit) == orbit[0]
 

@@ -192,6 +192,17 @@ def test_make_validates_determinant(ctx13):
         gens.group.make(1, 0, 0, 2)
 
 
+@pytest.mark.parametrize("ctx, entries", [("ctx13", (-12, 1, 0, 1)), ("ctx13", (1, 0, 13, 1)),
+                                          ("ctx27", (27, 0, 0, 1)), ("ctx16", (1, 0, 0, 16))])
+def test_make_rejects_entries_outside_the_field(ctx, entries, request):
+    # an entry outside 0..q-1 is no field encoding and is refused, also
+    # where the determinant would come out 1 (-12 = 1 mod 13; 13 times 0)
+    group = request.getfixturevalue(ctx)[0].group
+    with pytest.raises(ValueError, match="encodings in 0..") as exc:
+        group.make(*entries)
+    assert str(list(entries)) in str(exc.value)
+
+
 def test_canonical_representative_idempotent(ctx13, ctx27):
     for gens, _ in (ctx13, ctx27):
         G = gens.group

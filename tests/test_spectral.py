@@ -289,9 +289,10 @@ def test_projection_coeffs_zero_vector(ctx13):
     G = gens.group
     rng = random.Random(4)
     h = random_outside_dihedralizer(gens, rng)
-    zero = [0] * G.n_points
-    phi = [1 if label == 1 else -1 for label in tab.glabel.tolist()]
-    assert vanishes(projection_coeffs(gens, np.array(G.perm_array(h)), zero, phi))
+    perm_h = G.perm_array(h)
+    phi = np.where(tab.glabel == 1, 1, -1)
+    zero = np.zeros(G.n_points, dtype=np.int64)
+    assert vanishes(projection_coeffs(tab.rows(phi[perm_h]), tab.rows(zero[perm_h])))
 
 
 def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
@@ -304,7 +305,7 @@ def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
             h = random_outside_dihedralizer(gens, rng)
             perm_h = np.array(gens.group.perm_array(h))
             psi, phi = _odd_vectors(tab, perm_h)
-            c = projection_coeffs(gens, perm_h, psi, phi)
+            c = projection_coeffs(tab.rows(phi[perm_h]), tab.rows(psi[perm_h]))
             counts = intersection_counts(gens, h)
 
             def diff(b):
@@ -315,6 +316,24 @@ def test_projection_coeffs_reproduce_balance_quantities(ctx13, ctx27):
             for b in range(p):
                 assert c[b] == 2 * diff(b)
             assert c[0] == 0
+
+
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx16", "ctx27"])
+def test_projection_coeffs_match_the_conjugation_formula(ctx, request):
+    # c_b = sum_x phi(x) (w(h a^b h^-1 x) + w(h a^-b h^-1 x)), read through
+    # the rows of h, h^-1 and a, for random integer phi and w
+    gens, tab = request.getfixturevalue(ctx)
+    G, p = gens.group, gens.p
+    rng = random.Random(7)
+    h = G.random_element(rng)
+    perm_h, cur, perm_a = (G.perm_array(x) for x in (h, G.inverse(h), gens.a))
+    conj = []  # the rows of h a^b h^-1
+    for _ in range(p):
+        conj.append(perm_h[cur])
+        cur = perm_a[cur]
+    phi, w = (np.array([rng.randint(-5, 5) for _ in range(G.n_points)]) for _ in range(2))
+    want = tuple(int(phi @ (w[conj[b]] + w[conj[-b % p]])) for b in range(p))
+    assert projection_coeffs(tab.rows(phi[perm_h]), tab.rows(w[perm_h])) == want
 
 
 def test_projection_partition_of_unity(ctx13):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import psl2units
 from psl2units.cli import main
 from psl2units.errors import InadmissiblePair
 from psl2units.sweep import (
@@ -206,6 +208,41 @@ def test_run_sweep_resume_drops_torn_last_lines(tmp_path):
                 == len(lines)
 
 
+
+def _partial_line(line: str, bad: str) -> str:
+    """A line that is valid JSON but not a full record or journal entry:
+    an array, a q in a list, or the object without its key ``bad``."""
+    if bad == "array":
+        return "[1, 2]"
+    obj = json.loads(line)
+    if bad == "listed q":
+        return json.dumps(dict(obj, q=[obj["q"]]))
+    return json.dumps({k: v for k, v in obj.items() if k != bad})
+
+
+@pytest.mark.parametrize("bad, in_journal", [
+    ("tries", False), ("array", False), ("listed q", False),
+    ("digest", True), ("array", True), ("listed q", True)])
+def test_run_sweep_resume_reruns_valid_json_partial_record(tmp_path, bad, in_journal):
+    # a record or journal entry that is valid JSON but not well formed
+    # counts as torn: resume runs its pair again instead of stopping
+    clean = tmp_path / "clean.jsonl"
+    run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=clean)
+    lines = clean.read_text().splitlines()
+    out_lines, journal = lines[:], (tmp_path / "clean.jsonl.journal").read_text().splitlines()
+    partial = journal if in_journal else out_lines
+    partial[3] = _partial_line(partial[3], bad)
+    out = tmp_path / "partial.jsonl"
+    out.write_text("\n".join(out_lines) + "\n")
+    (tmp_path / "partial.jsonl.journal").write_text("\n".join(journal) + "\n")
+    resumed = run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=out, resume=True)
+    assert (resumed.pairs, resumed.satisfied, resumed.counterexamples) \
+        == (len(lines), len(lines), [])
+    assert [SweepRecord.from_json_dict(json.loads(line)).digest()
+            for line in out.read_text().splitlines()] \
+        == [SweepRecord.from_json_dict(json.loads(line)).digest() for line in lines]
+
+
 def test_run_sweep_emits_expected_pairs(tmp_path):
     out = tmp_path / "pairs.jsonl"
     run_sweep(7, 100, samples=50, seed=0, jobs=1, out_path=out)
@@ -296,10 +333,38 @@ def test_cli_sweep(tmp_path, capsys):
     assert "pairs satisfied" in printed
 
 
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(psl2units.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "psl2units.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def test_cli_sweep_resume_reruns_partial_record(tmp_path):
+    # a record line without its mode is run again, with exit code 0
+    out = tmp_path / "cli.jsonl"
+    argv = ("sweep", "--q-min", "7", "--q-max", "60", "--samples", "50", "--seed", "2",
+            "--out", str(out), "--quiet")
+    assert _cli(*argv).returncode == 0
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join([_partial_line(lines[0], "mode")] + lines[1:]) + "\n")
+    proc = _cli(*argv, "--resume")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
+               for line in (lines[0], out.read_text().splitlines()[0])]
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("q, h", [("27", "27,0,0,1"), ("13", "-12,1,0,1")])
+def test_cli_spectral_rejects_entries_outside_the_field(q, h):
+    proc = _cli("spectral", "--q", q, "--p", "7", "--k", "2", "--m", "21", f"--h={h}")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "not all encodings" in proc.stderr
+
 def test_cli_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "psl2units.cli", "check",
-                           "--q", "13", "--p", "7", "--exhaustive"],
-                          capture_output=True, text=True)
+    proc = _cli("check", "--q", "13", "--p", "7", "--exhaustive")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["satisfied"] is True
 
@@ -337,3 +402,18 @@ def test_run_sweep_records_pinned(tmp_path):
     digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
                for line in out.read_text().splitlines()]
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_7_999_SHA256
+
+
+# the same digest over run_sweep(7, 9999, samples=200, seed=1): every
+# q < 10000, the range the paper verified by computer, as BENCH_vector.json
+# records it
+SWEEP_7_9999_SHA256 = "6bbfaafbf9c40687ca3fda348be25cb05d2cce32d3be5e950f76fa4cc014c34c"
+
+
+def test_run_sweep_full_range_pinned(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    summary = run_sweep(7, 9999, samples=200, seed=1, jobs=2, out_path=out)
+    assert (summary.pairs, summary.satisfied) == (1598, 1598)
+    digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
+               for line in out.read_text().splitlines()]
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_7_9999_SHA256
