@@ -3,8 +3,8 @@
 Subcommands: ``sweep`` reproduces the full parameter sweep, ``check``
 runs one (q, p) pair, ``classify`` reports the critical-element verdict,
 ``spectral`` certifies the four-intersection hypotheses for a given h.
-Exit code 0 means no possible counterexample was seen; bad input exits
-with code 2 and an ``error:`` line on stderr.
+Exit code 0 means no possible counterexample was seen; bad input and an
+unwritable --out exit with code 2 and an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # the base of every input error the commands raise
+    except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

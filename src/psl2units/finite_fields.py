@@ -10,12 +10,13 @@ Every constructive choice (modulus, multiplicative generator, alpha,
 beta) is made by deterministic enumeration, so everything derived
 downstream (generators, orbits, sweep records) is reproducible bit for
 bit.  The modulus of F_q over its prime field is the first monic
-irreducible of degree r when coefficient tuples are compared
-low-degree-first, found by trial division by every monic polynomial of
-degree at most r/2; F_{q^2} is a degree-2 extension of F_q (X^2 - c with
-c the first non-square for odd q, X^2 + X + c with c the first element
-of absolute trace 1 for even q), which keeps Frobenius, norm and trace
-one-line operations.
+irreducible of degree r, low coefficients compared first, found by trial
+division by every monic polynomial of degree at most r/2; for r >= 2 the
+generator of F_q* is the first encoding of order q - 1, found by the numpy
+walk that fills its powers.  F_{q^2} is a degree-2 extension of F_q
+(X^2 - c with c the first non-square for odd q, X^2 + X + c with c the
+first element of absolute trace 1 for even q), which keeps Frobenius,
+norm and trace one-line operations.
 
 Every field also has numpy arithmetic on int64 encoding arrays, with
 broadcasting: ``add_array``, ``mul_array`` and ``inv_array``, whose
@@ -67,9 +68,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Return (l, r) with q = l**r, or raise ValueError if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    fac = factorize(q)
+    fac = factorize(q)  # empty below 2
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (l, r), = fac.items()
@@ -105,49 +104,18 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over F_l (coefficient tuples, low degree first, no
-# trailing zeros).  Only used during field construction.
-
-def _ptrim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
+# Polynomial helpers over F_l (coefficient tuples, low degree first) for
+# the modulus search; the field tables act on digit vectors instead.
 
 def _pmod(a, f, l):
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and len(a) > 0:
-        lead = a[-1]
+    """Remainder of a modulo the monic f, as len(f) - 1 coefficients."""
+    a, df = list(a), len(f) - 1
+    while len(a) > df:
+        lead = a.pop()
         if lead:
-            shift = len(a) - 1 - df
-            for i, c in enumerate(f):
-                a[shift + i] = (a[shift + i] - lead * c) % l
-        a.pop()
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, f, l):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % l
-    return _pmod(out, f, l)
-
-
-def _ppowmod(base, e, f, l):
-    result = (1,)
-    base = _pmod(base, f, l)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, l)
-        base = _pmulmod(base, base, f, l)
-        e >>= 1
-    return result
+            for i, c in enumerate(f[:-1], len(a) - df):
+                a[i] = (a[i] - lead * c) % l
+    return a
 
 
 def _smallest_modulus(l: int, r: int) -> tuple[int, ...]:
@@ -161,9 +129,32 @@ def _smallest_modulus(l: int, r: int) -> tuple[int, ...]:
     divisors = [low + (1,) for d in range(1, r // 2 + 1)
                 for low in itertools.product(range(l), repeat=d)]
     for low in itertools.product(range(l), repeat=r):
-        if all(_pmod(low + (1,), g, l) for g in divisors):
+        if all(any(_pmod(low + (1,), g, l)) for g in divisors):
             return low
     raise InvariantViolated(f"no monic irreducible of degree {r} over F_{l}")
+
+
+def _power_encodings(x, cand, n, l):
+    """Encodings of cand^0, ..., cand^(n-1), or None once a power before
+    cand^n is 1.  x multiplies digit columns by X; step = cand^k (Horner in
+    x, then squared) doubles the digit rows: rows[k:2k] = rows[:k] @ step^T,
+    whose dot products, at most r(l-1)^2 < 2q, fit in int32."""
+    r = len(x)
+    pows = l ** np.arange(r, dtype=np.int32)
+    step = np.zeros((r, r), dtype=np.int32)
+    for d in (cand // pows % l)[::-1]:
+        step = (step @ x + d * np.eye(r, dtype=np.int32)) % l
+    rows = np.zeros((n, r), dtype=np.int32)
+    rows[0, 0] = 1
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        rows[k:k + m] = rows[:m] @ step.T % l
+        if 1 in rows[k:k + m] @ pows:
+            return None
+        step = step @ step % l
+        k += m
+    return rows @ pows
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +264,10 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """F_{l^r} for r >= 2, with exp/log (Zech) tables for O(1) arithmetic.
 
-    With n = q - 1, log(0) is the sentinel 2n and the tables are laid out
-    so that zero operands need no test: ``exp`` repeats the n powers of
-    the generator twice and then reads 0 from index 2n on, and x + y is
+    With n = q - 1 and g the first candidate whose ``_power_encodings``
+    walk runs to the end, log(0) is the sentinel 2n and the tables are laid
+    out so that zero operands need no test: ``exp`` repeats the n powers of
+    g twice and then reads 0 from index 2n on, and x + y is
     exp[log x + zech[log y - log x + 2n]], where zech reads log(1 + g^k)
     at offsets n..3n-1, log(y) - 2n below them (0 + y = y) and 0 above
     them (x + 0 = x).  The scalar methods index the lists, the array
@@ -286,54 +278,31 @@ class ExtensionField(Field):
         self.l = l
         self.r = r
         self.q = q = l ** r
-        self.modulus = mod = _smallest_modulus(l, r)
-        f = mod + (1,)
-        pows = [l ** i for i in range(r)]
-
-        def enc(poly):
-            return sum(c * pows[i] for i, c in enumerate(poly))
-
-        def dec(e):
-            out = []
-            for _ in range(r):
-                out.append(e % l)
-                e //= l
-            return _ptrim(out)
-
-        # multiplicative generator: first encoding of full order q-1
+        self.modulus = _smallest_modulus(l, r)
         n = q - 1
-        primes = list(factorize(n))
-        gen = None
-        for e in range(2, q):
-            cand = dec(e)
-            if all(_ppowmod(cand, n // s, f, l) != (1,) for s in primes):
-                gen = cand
-                break
-        if gen is None:
+        # X times X^i is X^(i+1), and X^r = -sum(c_i X^i)
+        x = np.eye(r, k=-1, dtype=np.int32)
+        x[:, -1] = [-c % l for c in self.modulus]
+        # encodings below l lie in F_l*, of order dividing l - 1, so the
+        # scan for the first encoding of order n starts at X
+        walks = (_power_encodings(x, cand, n, l) for cand in range(l, q))
+        exp = next((e for e in walks if e is not None), None)
+        if exp is None:
             raise InvariantViolated(f"q={q}: no encoding generates F_q*")
-
-        exp = [0] * n
-        cur = (1,)
-        for i in range(n):
-            exp[i] = enc(cur)
-            cur = _pmulmod(cur, gen, f, l)
-        log = [2 * n] * q
-        for i, e in enumerate(exp):
-            log[e] = i
+        log = np.full(q, 2 * n, dtype=np.int32)
+        log[exp] = np.arange(n)
+        # zech shares log's int objects and neg and inv share exp's (3q fewer
+        # ints); log(0) = 2n reads a 0 in both gathers, and -1 is g^(n/2) for odd q
+        self.exp = exp.tolist() * 2 + [0] * (2 * n + 1)
+        self.log = log.tolist()
         # 1 + e changes only the lowest digit of e
-        zech = [log[e - e % l + (e + 1) % l] for e in exp]
-        neg = [0] * q
-        for e in range(1, q):
-            neg[e] = sum(((l - d) % l) * pows[i] for i, d in enumerate(dec(e)))
-
-        self.exp = exp * 2 + [0] * (2 * n + 1)
-        self.log = log
+        zech = list(map(self.log.__getitem__, (exp - exp % l + (exp + 1) % l).tolist()))
         self.zech = list(range(-2 * n, -n)) + zech * 2 + [0] * (n + 1)
-        self.neg_table = neg
-        self.inv_table = [0] + [self.exp[n - log[e]] for e in range(1, q)]
+        self.neg_table = list(map(self.exp.__getitem__, (log + (n // 2 if l > 2 else 0)).tolist()))
+        self.inv_table = list(map(self.exp.__getitem__, (n - log).tolist()))
         # int32 logs halve the index arrays that add_array and mul_array build
         self._exp_array = np.array(self.exp, dtype=np.int64)
-        self._log_array = np.array(log, dtype=np.int32)
+        self._log_array = log
         self._zech_array = np.array(self.zech, dtype=np.int32)
         self._inv_array = np.array(self.inv_table, dtype=np.int64)
 

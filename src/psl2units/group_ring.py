@@ -95,9 +95,6 @@ class GroupRingElement:
     def augmentation(self) -> int:
         return sum(self.coeffs.values())
 
-    def support(self):
-        return set(self.coeffs)
-
     def items_sorted(self):
         """Debug rendering order: sorted (matrix tuple, coefficient) pairs."""
         return sorted(self.coeffs.items())

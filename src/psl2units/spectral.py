@@ -173,17 +173,17 @@ class EigenData:
 def eigen_data(p: int, k: int, m: int) -> EigenData:
     """Magnitudes |u(zeta^b)| = |sin(pi k b/p) / sin(pi b/p)|^m.
 
-    Requires k outside {0, 1, -1} mod p, k^m = 1 mod p and p | m; under
-    these the magnitudes are pairwise distinct and the extremes are
-    attained away from b = 0.  Cached per (p, k, m); a spec that fails a
-    check raises on every call, as nothing is cached for it.
+    Requires k outside {0, 1, -1} mod p, k^m = 1 mod p and m a positive
+    multiple of p; under these the magnitudes are pairwise distinct and
+    the extremes are attained away from b = 0.  Cached per (p, k, m); a
+    spec that fails a check raises on every call, as nothing is cached for it.
     """
     if k % p in (0, 1, p - 1):
         raise InvalidSpec(f"k={k} is 0 or +-1 mod {p}")
     if pow(k, m, p) != 1:
         raise InvalidSpec(f"k^m != 1 mod {p}")
-    if m % p != 0:
-        raise InvalidSpec(f"p={p} must divide m={m}")
+    if m < 1 or m % p != 0:
+        raise InvalidSpec(f"m={m} must be a positive multiple of p={p}")
     import mpmath  # imported here: a sweep never needs it, and it costs about 4 MB
     half = (p - 1) // 2
     with mpmath.workdps(50):

@@ -145,6 +145,8 @@ def evaluate_pair(q: int, p: int, samples: int, seed: int, exhaustive: bool) -> 
 def check_single(q: int, p: int, exhaustive: bool = False, samples: int = 200,
                  seed: int | None = None) -> SweepRecord:
     """Validated single-pair check; raises InadmissiblePair with the reason."""
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     if q % 2 == 0:
         raise InadmissiblePair(q, p, "q even")
     try:
@@ -236,6 +238,8 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
     completion order, so identical flags and seed produce byte-identical
     output up to the elapsed_ms field.
     """
+    if samples < 1:
+        raise ValueError(f"samples={samples} must be at least 1")
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from psl2units.errors import NotPrime, ZeroElement
 from psl2units.finite_fields import (
-    PrimePower, QuadraticExtension, _smallest_modulus, build_setup, factorize, is_prime,
-    make_field, prime_power_decomposition,
+    ExtensionField, PrimePower, QuadraticExtension, _smallest_modulus, build_setup, factorize,
+    is_prime, make_field, prime_power_decomposition,
 )
 
 
@@ -59,6 +59,24 @@ def test_moduli_pinned_below_ten_thousand():
     pairs = [[pp.q, list(_smallest_modulus(pp.l, pp.r))] for pp in _prime_powers(4, 10 ** 4)]
     assert len(pairs) == 1278
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == MODULI_SHA256
+
+
+# one sha256 fed json.dumps([l, r, modulus, exp, log, zech, neg_table,
+# inv_table]) of every extension field, r >= 2 and q < 10^4, in increasing
+# q (51 of them), as built by scalar polynomial-tuple arithmetic before the
+# tables came from numpy digit vectors
+TABLES_SHA256 = "65eeeb0f685ecf90c8b820a7468d22a6a18fbbbdca82a5711813a0903e1e6a4d"
+
+
+def test_extension_tables_pinned_below_ten_thousand():
+    fields = [pp for pp in _prime_powers(4, 10 ** 4) if pp.r > 1]
+    assert len(fields) == 51
+    digest = hashlib.sha256()
+    for pp in fields:
+        fq = ExtensionField(pp.l, pp.r)
+        digest.update(json.dumps([fq.l, fq.r, list(fq.modulus), fq.exp, fq.log, fq.zech,
+                                  fq.neg_table, fq.inv_table]).encode())
+    assert digest.hexdigest() == TABLES_SHA256
 
 
 def _monic_products(l, r):

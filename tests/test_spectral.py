@@ -127,6 +127,10 @@ def test_eigen_data_rejects_bad_specs():
         eigen_data(7, 2, 20)   # 7 does not divide 20
     with pytest.raises(InvalidSpec):
         eigen_data(7, 3, 21)   # 3^21 != 1 mod 7
+    with pytest.raises(InvalidSpec, match="m=0 must be a positive multiple"):
+        eigen_data(7, 2, 0)    # passes the other checks, then magnitudes collide
+    with pytest.raises(InvalidSpec, match="m=-21 must be a positive multiple"):
+        eigen_data(7, 2, -21)  # 2^-21 = 1 mod 7: the extremes of m = 21, swapped
 
 
 def test_eigen_data_is_shared_and_frozen():

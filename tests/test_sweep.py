@@ -314,13 +314,36 @@ def test_cli_spectral_bad_matrix(capsys):
      "p=5 does not divide"),
     (["spectral", "--q", "13", "--p", "7", "--k", "1", "--m", "21", "--h", "1,0,0,1"],
      "k=1 is 0 or +-1 mod 7"),
+    (["spectral", "--q", "27", "--p", "7", "--k", "2", "--m", "0", "--h", "1,2,1,0"],
+     "m=0 must be a positive multiple"),
+    (["spectral", "--q", "27", "--p", "7", "--k", "2", "--m", "-21", "--h", "1,1,0,1"],
+     "m=-21 must be a positive multiple"),
     (["classify", "--q", "12", "--p", "7"], "12 is not a prime power"),
+    (["check", "--q", "27", "--p", "7", "--samples", "0"], "samples=0 must be at least 1"),
+    (["check", "--q", "27", "--p", "7", "--samples", "-3"], "samples=-3 must be at least 1"),
+    (["sweep", "--q-min", "7", "--q-max", "30", "--samples", "0"],
+     "samples=0 must be at least 1"),
 ], ids=["spectral-q-not-prime-power", "spectral-p-not-dividing", "spectral-bad-k",
-        "classify-q-not-prime-power"])
-def test_cli_bad_input_is_a_typed_error(capsys, argv, message):
+        "spectral-m-zero", "spectral-m-negative", "classify-q-not-prime-power",
+        "check-samples-zero", "check-samples-negative", "sweep-samples-zero"])
+def test_cli_bad_input_is_a_typed_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # where a sweep would write its default --out
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())  # refused before any output or journal
+
+
+@pytest.mark.parametrize("out,message", [
+    ("missing/s.jsonl", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+], ids=["missing-directory", "out-is-a-directory"])
+def test_cli_sweep_unwritable_out_is_a_typed_error(tmp_path, monkeypatch, capsys, out, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    assert main(["sweep", "--q-min", "7", "--q-max", "30", "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and out in err
 
 
 def test_cli_sweep(tmp_path, capsys):
