@@ -141,9 +141,10 @@ def _power_encodings(x, cand, n, l):
     whose dot products, at most r(l-1)^2 < 2q, fit in int32."""
     r = len(x)
     pows = l ** np.arange(r, dtype=np.int32)
+    eye = np.eye(r, dtype=np.int32)
     step = np.zeros((r, r), dtype=np.int32)
     for d in (cand // pows % l)[::-1]:
-        step = (step @ x + d * np.eye(r, dtype=np.int32)) % l
+        step = (step @ x + d * eye) % l
     rows = np.zeros((n, r), dtype=np.int32)
     rows[0, 0] = 1
     k = 1

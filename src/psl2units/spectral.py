@@ -21,12 +21,14 @@ The image vector psi and the kernel functional phi are numpy gathers
 from the row of h and the orbit table (g^-1 and the g-orbit labels).
 Read once along the h-images of the a-orbits through the table's
 ``rows``, phi and psi give the profiles that decide escape and meet, and
-their cyclic correlation gives the projection coefficients.  tau^2 = 0
-is decided exactly, in int64 and without a BLAS product, by
-``square_is_nonzero``: every column of tau^2 is tau times a column of
-tau, so tau is multiplied only by one column of each distinct kind,
-which costs O(n^2) for the at most three kinds a correct tau = psi phi^T
-has.  Once tau = psi phi^T is checked exactly, its rank is
+their cyclic correlation gives the projection coefficients.
+``check_displacement`` decides tau^2 = 0 and tau = psi phi^T exactly, in
+int64 and with O(n) memory beside the dense tau.  Every column of tau^2
+is tau times a column of tau, and once tau = psi phi^T column j is
+phi_j psi, so tau is multiplied only by the first column of each distinct
+value of phi: two for odd q, three for even q.  Together with the
+factorisation, checked a block of rows at a time, this accepts exactly
+the tau that squares to zero and equals psi phi^T.  Its rank is then
 1 iff psi and phi are nonzero.  The group ring route (``nilpotent_part``
 of ``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is
 the dense oracle's and the tests'.
@@ -89,9 +91,13 @@ def nilpotent_part(group: PSL2, v: GroupRingElement) -> np.ndarray:
 def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray) -> np.ndarray:
     """(I - P_x) P_y sum_j P_x^j, the image of (1 - x) y xhat, from the rows
     of x and y: column c gains e_(y x^j c) - e_(x y x^j c) for every j below
-    the order of x, found by walking x's row back to the identity."""
+    the order of x, found by walking x's row back to the identity within n
+    steps.  The whole row of x^j is compared with the identity only when
+    x^j fixes i0, the first point x moves; for g and sigma, whose cycles
+    through i0 have the full order of x, that is once."""
     n = len(perm_x)
     cols = np.arange(n)
+    i0 = int(np.argmax(perm_x != cols))  # 0 when x moves no point
     tau = np.zeros((n, n), dtype=np.int64)
     cur = cols  # the row of x^j
     for _ in range(n):
@@ -99,20 +105,29 @@ def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray) -> np.ndarray:
         tau[img, cols] += 1
         tau[perm_x[img], cols] -= 1
         cur = perm_x[cur]
-        if np.array_equal(cur, cols):
+        if cur[i0] == i0 and np.array_equal(cur, cols):
             return tau
     raise InvariantViolated(f"x does not return to the identity within {n} steps")
 
 
-def square_is_nonzero(mat: np.ndarray) -> bool:
-    """bool((mat @ mat).any()) for a square integer matrix, exactly: column j
-    of mat @ mat is mat times column j of mat, so mat is multiplied only by
-    the first column of each distinct kind (grouped by bytes), in
-    O(n^2 k) for k distinct columns."""
-    first = {}
-    for j, col in enumerate(mat.T):
-        first.setdefault(col.tobytes(), j)
-    return bool((mat @ mat[:, list(first.values())]).any())
+ROWS_PER_BLOCK = 64  # rows of tau compared with psi phi^T at a time
+
+
+def check_displacement(tau: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> None:
+    """Raise InvariantViolated unless tau^2 = 0 and tau = psi phi^T, in this
+    order.  The square is tau times the first column of each distinct value
+    of phi, which decides tau^2 = 0 once tau = psi phi^T: column j is then
+    phi_j psi, so tau^2 = psi (phi . psi) phi^T vanishes iff tau (v psi)
+    does for some v != 0 among phi's values, or phi = 0.  The factorisation
+    is compared a block of ROWS_PER_BLOCK rows at a time, so no n x n
+    temporary is built."""
+    _, first = np.unique(phi, return_index=True)
+    if (tau @ tau[:, first]).any():
+        raise InvariantViolated("displacement must square to zero")
+    for s in range(0, len(psi), ROWS_PER_BLOCK):
+        rows = slice(s, s + ROWS_PER_BLOCK)
+        if not np.array_equal(tau[rows], np.outer(psi[rows], phi)):
+            raise InvariantViolated("displacement must factor through the expected image vector")
 
 
 def sigma_companion(gens: CanonicalGenerators) -> GroupRingElement:
@@ -344,17 +359,17 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     Odd q pairs the conjugated Bass unit with the h-indexed bicyclic
     candidate (h must avoid the dihedralizer); even q uses the fixed
     sigma-based candidate with arbitrary h.  All structure facts are
-    recomputed, never assumed; the contingent condition is whether the
-    extreme projections of the image vector escape the kernel hyperplane.
+    recomputed, never assumed: tau^2 = 0 and tau = psi phi^T by
+    ``check_displacement``, which needs O(n) memory beside the dense tau,
+    then phi . psi = 0 and the rank.  The contingent condition is whether
+    the extreme projections of the image vector escape the kernel
+    hyperplane.
     """
     perm_h = gens.group.perm_array(h)
     parity, ed, tau = _displacement(gens, h, k, m, perm_h)
     psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
-    if square_is_nonzero(tau):
-        raise InvariantViolated("displacement must square to zero")
-    if not np.array_equal(tau, np.outer(psi, phi)):
-        raise InvariantViolated("displacement must factor through the expected image vector")
+    check_displacement(tau, psi, phi)
     if phi @ psi != 0:
         raise InvariantViolated("image vector must lie in the kernel hyperplane")
     rank = int(psi.any() and phi.any())  # the rank of psi phi^T, which tau equals

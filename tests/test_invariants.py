@@ -3,6 +3,7 @@ and the package imports without its heavy optional modules."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import random
 import subprocess
@@ -102,6 +103,46 @@ def test_certificate_rejects_an_image_vector_off_the_kernel(ctx, request, monkey
     monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y: bad)
     with pytest.raises(InvariantViolated, match="square to zero"):
         spectral.exact_certificate(gens, tab, h, 2, m)
+
+
+def _factorisation_faults(psi, phi):
+    """Two displacements near tau = psi phi^T that the square test passes
+    and the factorisation must refuse: one entry changed in the last row and
+    in a column past the first block where psi is 0, and two columns with
+    psi 0 swapped between the groups of phi's values.  Neither touches the
+    first column of a value of phi, which the square test multiplies by."""
+    tau = np.outer(psi, phi)
+    _, first = np.unique(phi, return_index=True)
+    zero = [j for j in np.flatnonzero(psi == 0)
+            if j >= spectral.ROWS_PER_BLOCK and j not in first]
+    i = zero[-1]
+    j = next(j for j in zero if phi[j] != phi[i])
+    poked, swapped = tau.copy(), tau.copy()
+    poked[-1, i] += 1
+    swapped[:, [i, j]] = tau[:, [j, i]]
+    return {"poked": poked, "swapped": swapped}
+
+
+H263 = (85, 170, 103, 107)  # outside D at (263, 11), with an ok certificate
+
+
+@pytest.fixture(scope="module")
+def ctx263():
+    # n = 264 points: several blocks of ROWS_PER_BLOCK rows
+    gens = make_generators(build_setup(PrimePower.from_q(263)), 11)
+    return gens, build_orbits(gens)
+
+
+@pytest.mark.parametrize("fault", ["poked", "swapped"])
+def test_certificate_rejects_a_wrong_column_past_the_first_block(ctx263, fault, monkeypatch):
+    gens, tab = ctx263
+    h = H263
+    assert spectral.exact_certificate(gens, tab, h, 3, 55).ok
+    psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
+    bad = _factorisation_faults(psi, phi)[fault]
+    monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y: bad)
+    with pytest.raises(InvariantViolated, match="factor through"):
+        spectral.exact_certificate(gens, tab, h, 3, 55)
 
 
 def test_certificate_rejects_an_order_that_does_not_close(ctx13):
@@ -278,6 +319,29 @@ try:
 except InvariantViolated as exc:
     print("square to zero" in str(exc))
 """) == "1\nTrue"
+
+
+def test_blocked_factorisation_check_survives_python_O():
+    # the two faults of test_certificate_rejects_a_wrong_column_past_the_first_block
+    assert _rejected_under_python_O("""
+import numpy as np
+from psl2units import spectral
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+""" + inspect.getsource(_factorisation_faults) + """
+gens = make_generators(build_setup(PrimePower.from_q(263)), 11)
+tab = build_orbits(gens)
+h = """ + repr(H263) + """
+print(spectral.exact_certificate(gens, tab, h, 3, 55).ok)
+psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
+for bad in _factorisation_faults(psi, phi).values():
+    spectral.row_displacement = lambda perm_x, perm_y: bad
+    try:
+        spectral.exact_certificate(gens, tab, h, 3, 55)
+    except InvariantViolated as exc:
+        print("factor through" in str(exc))
+""") == "True\nTrue\nTrue"
 
 
 def test_unit_matrix_guard_survives_python_O():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psl2units.engine import ConditionEngine
-from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec
+from psl2units import spectral
+from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, InvariantViolated
 from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
 from psl2units.projective import INF
 from psl2units.spectral import (
-    diagonalizer_identities, eigen_data, exact_certificate, integer_rank,
-    nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
+    check_displacement, diagonalizer_identities, eigen_data, exact_certificate,
+    integer_rank, nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
     projection_coeffs, recipe_element, row_displacement, sigma_companion,
-    square_is_nonzero, unit_matrix, vanishes,
+    unit_matrix, vanishes,
 )
 
 from bitmask_oracle import balance_table, intersection_counts
@@ -259,23 +261,109 @@ def test_row_displacement_is_the_group_ring_image(field, x_name, seed):
                           nilpotent_part(G, bicyclic_right(G, x, y)))
 
 
+def _walk_reference(perm_x, perm_y):
+    """row_displacement as it was before its walk tested the first moved
+    point: the whole row of x^j is compared with the identity every step."""
+    n = len(perm_x)
+    cols = np.arange(n)
+    tau = np.zeros((n, n), dtype=np.int64)
+    cur = cols
+    for _ in range(n):
+        img = perm_y[cur]
+        tau[img, cols] += 1
+        tau[perm_x[img], cols] -= 1
+        cur = perm_x[cur]
+        if np.array_equal(cur, cols):
+            return tau
+    return None  # x does not return to the identity within n steps
+
+
+def _walk_or_none(perm_x, perm_y):
+    try:
+        return row_displacement(perm_x, perm_y)
+    except InvariantViolated as exc:
+        assert f"within {len(perm_x)} steps" in str(exc)
+        return None
+
+
+def test_row_displacement_walks_past_an_early_return_of_the_first_moved_point():
+    # x = (0 1)(2 3 4)(5): x^2 fixes 0, the first point x moves, but x has
+    # order 6, which the walk reaches within its n = 6 steps
+    perm_x = np.array([1, 0, 3, 4, 2, 5])
+    perm_y = np.array([3, 0, 5, 4, 1, 2])
+    tau = row_displacement(perm_x, perm_y)
+    assert tau.any()
+    assert np.array_equal(tau, _walk_reference(perm_x, perm_y))
+
+
 @st.composite
-def _pooled_columns(draw):
-    """A small int64 matrix whose columns are multiples by -1, 0 or 1 of a
-    pool of at most three columns, so repeated, zero and negated columns
-    occur, as in tau = psi phi^T."""
-    n = draw(st.integers(1, 7))
-    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                         min_size=1, max_size=3))
-    cols = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([-1, 0, 1])),
-                         min_size=n, max_size=n))
-    return np.array([[sign * pool[i][r] for i, sign in cols] for r in range(n)], dtype=np.int64)
+def _permutation_pairs(draw):
+    """Rows of x and y on up to 9 points; x leaves a drawn set of points fixed."""
+    n = draw(st.integers(1, 9))
+    fixed = draw(st.sets(st.integers(0, n - 1)))
+    moved = [i for i in range(n) if i not in fixed]
+    perm_x = np.arange(n)
+    perm_x[moved] = draw(st.permutations(moved))
+    return perm_x, np.array(draw(st.permutations(range(n))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(mat=_pooled_columns())
-def test_square_is_nonzero_is_the_full_product(mat):
-    assert square_is_nonzero(mat) == bool((mat @ mat).any())
+@given(perms=_permutation_pairs())
+def test_row_displacement_is_the_walk_over_whole_rows(perms):
+    # an x of order above n (on 5 or more points) is refused by both
+    perm_x, perm_y = perms
+    tau, ref = _walk_or_none(perm_x, perm_y), _walk_reference(perm_x, perm_y)
+    assert (tau is None) == (ref is None)
+    assert ref is None or np.array_equal(tau, ref)
+
+
+def square_is_nonzero(mat: np.ndarray) -> bool:
+    """bool((mat @ mat).any()) for a square integer matrix, the dense oracle
+    of check_displacement's square test: column j of mat @ mat is mat times
+    column j of mat, so mat is multiplied only by the first column of each
+    distinct kind (grouped by bytes)."""
+    first = {}
+    for j, col in enumerate(mat.T):
+        first.setdefault(col.tobytes(), j)
+    return bool((mat @ mat[:, list(first.values())]).any())
+
+
+@st.composite
+def _displacements(draw):
+    """(tau, psi, phi) with phi of at most three distinct values, psi often
+    orthogonal to phi as in a certificate, and tau = psi' phi^T for psi' =
+    psi or psi changed in one entry, with at most two entries perturbed."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+    phi = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    psi = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    units = np.flatnonzero(np.abs(phi) == 1)
+    if units.size and draw(st.booleans()):  # make phi . psi = 0
+        psi[units[-1]] -= phi[units[-1]] * (phi @ psi)
+    psi_prime = psi.copy()
+    if draw(st.booleans()):
+        psi_prime[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    tau = np.outer(psi_prime, phi)
+    for r, c, d in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=2)):
+        tau[r, c] += d
+    return tau, psi, phi
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_displacements(), rows_per_block=st.integers(1, 3))
+def test_check_displacement_accepts_what_the_dense_products_accept(case, rows_per_block):
+    # the column-per-value square test and the blocked factorisation accept
+    # exactly the tau with tau^2 = 0 and tau = psi phi^T
+    tau, psi, phi = case
+    assert square_is_nonzero(tau) == bool((tau @ tau).any())
+    with mock.patch.object(spectral, "ROWS_PER_BLOCK", rows_per_block):
+        try:
+            check_displacement(tau, psi, phi)
+            accepted = True
+        except InvariantViolated:
+            accepted = False
+    assert accepted == (not square_is_nonzero(tau) and np.array_equal(tau, np.outer(psi, phi)))
 
 
 def test_integer_rank_small_cases():
