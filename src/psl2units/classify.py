@@ -101,7 +101,7 @@ def dpc_brute_force(q: int, p: int) -> bool:
     if n % p != 0:
         raise NoElementOfOrderP(f"p={p} does not divide |PSL(2,{q})| = {n}")
     elements = list(group.enumerate_elements())
-    a = next(m for m in elements if group.element_order(m) == p)
+    a = next(m for m in elements if group.has_order(m, p))
     outside = [x for x in elements if not group.in_dihedralizer(x, a)]
     if not outside:  # dihedralizer is everything
         return False

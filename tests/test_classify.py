@@ -5,7 +5,8 @@ from psl2units.classify import (
     dpc_verdict, multiplicative_order,
 )
 from psl2units.errors import GroupTooLarge, NoElementOfOrderP, NotCoprime
-from psl2units.finite_fields import factorize
+from psl2units.finite_fields import factorize, make_field, prime_power_decomposition
+from psl2units.projective import PSL2
 
 
 def test_multiplicative_order():
@@ -68,3 +69,15 @@ def test_predicate_matches_brute_force_on_small_groups():
             verdict = dpc_verdict(q, p, brute=True)
             assert verdict.witnessed is not None
             assert verdict.predicate == verdict.witnessed, (q, p, verdict)
+
+
+def test_brute_force_picks_the_first_element_of_order_p():
+    # dpc_brute_force's a: the trace test picks the element the
+    # composition walk picks
+    for q in (4, 5, 7, 9, 11, 13):
+        group = PSL2(make_field(*prime_power_decomposition(q)))
+        elements = list(group.enumerate_elements())
+        for p in sorted(factorize(_group_order(q))):
+            if p > 3:
+                first = next(m for m in elements if group.element_order(m) == p)
+                assert next(m for m in elements if group.has_order(m, p)) == first

@@ -196,6 +196,23 @@ except InvariantViolated:
 """) == "rejected"
 
 
+def test_semisimple_wrong_order_g_is_rejected_under_python_O():
+    # t = beta + 1/beta makes g split semisimple, conjugate to sigma: its
+    # trace is not +-2 and its order is 6, not 7
+    assert _rejected_under_python_O("""
+import dataclasses
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.projective import make_generators
+setup = build_setup(PrimePower.from_q(13))
+fq = setup.fq
+setup = dataclasses.replace(setup, t=fq.add(setup.beta, fq.inv(setup.beta)))
+try:
+    make_generators(setup, 7)
+except InvariantViolated as exc:
+    print(exc)
+""") == "q=13: g does not have order 7"
+
+
 def test_orbit_checks_survive_python_O():
     # a g of the wrong order is refused, and so is an a with the orbits of
     # the true a but the wrong step along them (a^2 or a^-1)

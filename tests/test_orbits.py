@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import numpy as np
+import pytest
 
+from psl2units.errors import InvariantViolated
 from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup, \
-    make_field, FieldSetup
+    factorize, make_field, FieldSetup
 from psl2units.orbits import build_orbits
 from psl2units.projective import INF, make_generators
 
@@ -149,3 +152,86 @@ def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
                         for pt in points_of(mask):
                             moved |= 1 << perm[pt]
                         assert moved not in img
+
+
+def _orbits_by_doubling(gens):
+    """The orbit table with each g-orbit walked by doubling, an independent
+    route for ``build_orbits``' point-by-point walk, with the same checks
+    and messages: (perm_g_inv, glabel, order_idx).
+
+    Once the walk holds start, g(start), ..., g^(2^k - 1)(start), the row
+    of g^(2^k) maps those entries onto the next 2^k.  The rows, each the
+    previous row composed with itself, are built once and reused by the
+    second walk: O(n log n) gathers and no per-point Python step.  It is
+    to replace the point walk once perfbench stops keeping every round's
+    records (ROADMAP, item 1).
+    """
+    q = gens.q
+    p, d, d_prime = gens.p, gens.d, gens.d_prime
+    n = q + 1
+    orbit_len = p * d
+    # int32 halves the log2(p d) rows of n points
+    steps = [gens.group.perm_array(gens.g).astype(np.int32)]
+    walks = []
+    seen = np.zeros(n, dtype=bool)
+    while not seen.all() and len(walks) <= d_prime:
+        start = int(seen.argmin())
+        walk = np.empty(orbit_len, dtype=np.int64)
+        walk[0] = start
+        filled, k = 1, 0
+        while filled < orbit_len:
+            if k == len(steps):
+                steps.append(steps[-1][steps[-1]])
+            m = min(filled, orbit_len - filled)
+            walk[filled:filled + m] = steps[k][walk[:m]]
+            filled, k = filled + m, k + 1
+        if steps[0][walk[-1]] != start:
+            raise InvariantViolated(f"q={q}: g-orbit through {start} is not of length {orbit_len}")
+        seen[walk] = True
+        walks.append(walk)
+    if len(walks) != d_prime:
+        raise InvariantViolated(f"q={q}: g has {len(walks)} orbits, expected {d_prime}")
+    rows = np.stack(walks).reshape(d_prime, p, d).transpose(0, 2, 1).reshape(-1, p)
+    shift = rows.argmin(axis=1)[:, None]
+    rows = np.take_along_axis(rows, (shift + np.arange(p)) % p, axis=1)
+    if (np.bincount(rows.reshape(-1), minlength=n) != 1).any():
+        raise InvariantViolated(f"q={q}: the a-orbits do not cover every point exactly once")
+    if not np.array_equal(gens.group.perm_array(gens.a)[rows], np.roll(rows, -1, axis=1)):
+        raise InvariantViolated(f"q={q}: a does not step one place along every a-orbit")
+    order_idx = rows.reshape(-1)
+    glabel = np.empty(n, dtype=np.int8)
+    glabel[order_idx] = 1 + np.arange(n) // orbit_len
+    perm_g_inv = np.empty(n, dtype=np.int64)
+    perm_g_inv[steps[0]] = np.arange(n)
+    return perm_g_inv, glabel, order_idx
+
+
+# every odd prime p dividing (q + 1)/d'; q = 7 has none
+_WALK_PAIRS = [(q, p) for q in (7, 8, 13, 16, 27, 32, 125, 997, 1024)
+               for p in factorize((q + 1) // (1 + q % 2)) if p > 2]
+
+
+@pytest.mark.parametrize("q,p", _WALK_PAIRS)
+def test_doubling_walk_matches_point_by_point(q, p):
+    gens = make_generators(build_setup(PrimePower.from_q(q)), p)
+    tab = build_orbits(gens)
+    for want, got in zip((tab.perm_g_inv, tab.glabel, tab.order_idx),
+                         _orbits_by_doubling(gens)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_doubling_walk_rejects_what_the_point_walk_rejects(ctx13, ctx25):
+    # sigma closes its fixed points' walks and breaks the third, the
+    # identity closes every walk and leaves too many, and random elements
+    # break the first walk or, with g's orbit lengths, a's step
+    rng = random.Random(5)
+    for gens, _ in (ctx13, ctx25):
+        G = gens.group
+        wrongs = [gens.sigma, G.normalize(G.identity)] + [G.random_element(rng) for _ in range(5)]
+        for wrong in wrongs:
+            bad = dataclasses.replace(gens, g=wrong)
+            with pytest.raises(InvariantViolated) as want:
+                build_orbits(bad)
+            with pytest.raises(InvariantViolated, match=f"^{want.value}$"):
+                _orbits_by_doubling(bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psl2units.finite_fields import PrimePower, build_setup, make_field
+from psl2units.finite_fields import PrimePower, build_setup, factorize, make_field
 from psl2units.projective import INF, PSL2, make_generators
 
 from bitmask_oracle import conj_pow
@@ -245,10 +245,47 @@ def test_perm_array_matches_pointwise_apply(q):
         assert G.perm_array(m).tolist() == [G.apply(m, pt) for pt in range(G.n_points)]
 
 
+def _has_order_by_powers(G, m, n):
+    """The order test by composition: m^n = 1 and m^(n/s) != 1 for every
+    prime s dividing n (the reference for the trace test)."""
+    ident = G.normalize(G.identity)
+    if G.power(m, n) != ident:
+        return False
+    return all(G.power(m, n // s) != ident for s in factorize(n))
+
+
 @pytest.mark.parametrize("l,r", [(7, 1), (2, 3), (3, 2), (11, 1)])
 def test_has_order_matches_element_order(l, r):
     G = PSL2(make_field(l, r))
     divisors = [n for n in range(1, G.order() + 1) if G.order() % n == 0]
     for m in G.enumerate_elements():
         order = G.element_order(m)
-        assert [G.has_order(m, n) for n in divisors] == [order == n for n in divisors]
+        expected = [order == n for n in divisors]
+        assert [G.has_order(m, n) for n in divisors] == expected
+        assert [_has_order_by_powers(G, m, n) for n in divisors] == expected
+
+
+@pytest.mark.parametrize("q", [729, 997, 1024])
+def test_has_order_matches_powers_at_large_q(q):
+    pp = PrimePower.from_q(q)
+    G = PSL2(make_field(pp.l, pp.r))
+    fq = G.fq
+    one, minus = 1, fq.neg(1)
+    rng = random.Random(q)
+    # +-I, unipotents with either sign and their conjugates, then random elements
+    elements = [(one, 0, 0, one), (minus, 0, 0, minus)]
+    for x in (1, 2, q - 1):
+        for u in ((one, x, 0, one), (one, 0, x, one), (minus, fq.neg(x), 0, minus)):
+            h = G.random_element(rng)
+            elements += [u, G.conj_unit(u, h)]
+    elements += [G.random_element(rng) for _ in range(200)]
+    orders = sorted({1, pp.l} | {n for k in (q - 1, q + 1)
+                                 for n in range(1, k + 1) if k % n == 0})
+    kinds = {1: 0, pp.l: 0, "other": 0}
+    for m in elements:
+        got = [G.has_order(m, n) for n in orders]
+        assert got == [_has_order_by_powers(G, m, n) for n in orders], m
+        found = [n for n, ok in zip(orders, got) if ok]
+        assert len(found) == 1, (m, found)  # the order is 1, l or divides q - 1 or q + 1
+        kinds[found[0] if found[0] in kinds else "other"] += 1
+    assert kinds[1] == 2 and kinds[pp.l] >= 18 and kinds["other"] >= 150
