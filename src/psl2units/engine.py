@@ -5,13 +5,17 @@ The condition, its two orbit sums and the balance verdict are constant on
 each double coset T h T (|T| = (q+1)/2), and G - D splits into 2q - 4 of
 them, each of |T|^2 elements.  The Cayley map h -> w = (h(xi) - xi) /
 (h(xi) - xi^q) (xi the fixed point of g in F_{q^2}) turns them into
-classes of F_{q^2}*, so a survey builds one row per class from a
-primitive element of F_{q^2}, checks that each row's Cayley image is its
-w, and evaluates both verdicts on the rows in one pass, weighted by
-|T|^2.  The same map decides D, the normaliser of T: h lies in D exactly
-when h(xi) is xi or xi^q.  ``first_h`` is found by running the condition
-on the enumeration of G - D until a row is satisfied, which is the first
-satisfied element because the verdict is constant on double cosets.
+classes of F_{q^2}*, so a survey builds one row per class from the
+powers of gamma, the first generator of F_{q^2}* in encoding order,
+checks that each row's Cayley image is its w, and evaluates both
+verdicts on the rows in one pass, weighted by |T|^2.  gamma comes from
+``QuadraticExtension.first_primitive``, an exact test on norms and
+traces in F_q, so it is the element a scan by element orders in F_{q^2}
+picks and the rows cannot change with the test.  The same map decides
+D, the normaliser of T: h lies in D exactly when h(xi) is xi or xi^q.
+``first_h`` is found by running the condition on the enumeration of
+G - D until a row is satisfied, which is the first satisfied element
+because the verdict is constant on double cosets.
 
 The verdicts are the row functions of ``criteria`` applied to Moebius
 rows, which ``projective.mobius`` builds as it does for ``perm_array``.
@@ -150,8 +154,7 @@ class ConditionEngine:
         """
         q = self.q
         fq, fq2 = self.fq, self.gens.setup.fq2
-        gamma = next(u for u in map(fq2.from_encoding, range(q, q * q))
-                     if fq2.element_order(u) == q * q - 1)
+        gamma = fq2.first_primitive()
         w = list(accumulate(repeat(gamma, 2 * q - 3), fq2.mul, initial=fq2.one))
         w = tuple(np.array(w[1:q - 1] + w[q:]).T)
         rows = self._cayley_rows(w)

@@ -7,16 +7,22 @@ identity.  Elements of F_{q^2} are (lo, hi) pairs of F_q encodings
 with respect to the construction basis {1, w}.
 
 Every constructive choice (modulus, multiplicative generator, alpha,
-beta) is made by deterministic enumeration, so everything derived
-downstream (generators, orbits, sweep records) is reproducible bit for
-bit.  The modulus of F_q over its prime field is the first monic
-irreducible of degree r, low coefficients compared first, found by trial
-division by every monic polynomial of degree at most r/2; for r >= 2 the
-generator of F_q* is the first encoding of order q - 1, found by the numpy
-walk that fills its powers.  F_{q^2} is a degree-2 extension of F_q
-(X^2 - c with c the first non-square for odd q, X^2 + X + c with c the
-first element of absolute trace 1 for even q), which keeps Frobenius,
-norm and trace one-line operations.
+beta, the primitive gamma of F_{q^2}) is made by deterministic
+enumeration, so everything derived downstream (generators, orbits, sweep
+records) is reproducible bit for bit.  The modulus of F_q over its prime
+field is the first monic irreducible of degree r, low coefficients
+compared first, found by trial division by every monic polynomial of
+degree at most r/2; for r >= 2 the generator of F_q* is the first
+encoding of order q - 1, found by the numpy walk that fills its powers.
+F_{q^2} is a degree-2 extension of F_q (X^2 - c with c the first
+non-square for odd q, X^2 + X + c with c the first element of absolute
+trace 1 for even q), which keeps Frobenius, norm and trace one-line
+operations.  The scans for alpha and gamma decide every order in F_{q^2}
+on a trace in F_q: xi outside F_q gives u = xi^(q-1) = xi^q / xi of
+norm 1 and trace s = T(xi)^2 / N(xi) - 2, and u^k = 1 exactly when the
+Lucas value V_k(s) (``lucas``) is 2.  The test is exact and the scans
+keep their encoding order, so they accept the same first element as a
+scan by scalar powers in F_{q^2}, and alpha and gamma cannot change.
 
 Every field also has numpy arithmetic on int64 encoding arrays, with
 broadcasting: ``add_array``, ``mul_array`` and ``inv_array``, whose
@@ -168,6 +174,26 @@ def _order_in_group(n: int, is_one, powfn) -> int:
         while o % s == 0 and is_one(powfn(o // s)):
             o //= s
     return o
+
+
+def lucas(fq: "Field", t: int, k: int) -> int:
+    """V_k(t) in fq, with V_0 = 2, V_1 = t and V_(j+1) = t V_j - V_(j-1):
+    the trace lam^k + lam^-k of lam^k whenever lam + 1/lam = t.
+
+    Runs the Lucas ladder over the bits of k from the top, keeping
+    (V_j, V_(j+1)): V_2j = V_j^2 - 2 and V_(2j+1) = V_j V_(j+1) - t.  If
+    V_k(t) = 2 then mu = lam^k solves mu + 1/mu = 2, so (mu - 1)^2 = 0 and
+    lam^k = 1; this holds in characteristic 2 too, where 2 = 0.
+    """
+    two = fq.add(1, 1)
+    v, w = two, t
+    for bit in bin(k)[2:]:
+        vw = fq.sub(fq.mul(v, w), t)
+        if bit == "1":
+            v, w = vw, fq.sub(fq.mul(w, w), two)
+        else:
+            v, w = fq.sub(fq.mul(v, v), two), vw
+    return v
 
 
 class Field:
@@ -389,6 +415,7 @@ class QuadraticExtension:
         self.base = base
         self.q = base.q
         self.even = base.l == 2
+        self._qp1_primes = list(factorize(self.q + 1))
         if self.even:
             self.c = self._first_trace_one()
         else:
@@ -408,9 +435,6 @@ class QuadraticExtension:
 
     zero = (0, 0)
     one = (1, 0)
-
-    def embed(self, x):
-        return (x, 0)
 
     def from_encoding(self, e):
         return (e % self.q, e // self.q)
@@ -468,6 +492,47 @@ class QuadraticExtension:
         ub = self.frobenius(u)
         return (fq.mul(ub[0], n_inv), fq.mul(ub[1], n_inv))
 
+    def ratio_trace(self, u):
+        """Trace s of u^(q-1) = u^q / u, for u outside F_q.
+
+        u^q / u has norm 1, and its trace (u^2q + u^2) / N(u) is
+        T(u)^2 / N(u) - 2.
+        """
+        fq = self.base
+        tr = self.trace(u)
+        return fq.sub(fq.div(fq.mul(tr, tr), self.norm(u)), fq.add(1, 1))
+
+    def generates_norm_one(self, s) -> bool:
+        """True iff the elements of norm 1 and trace s have order q + 1.
+
+        Such v solve v + 1/v = s, so v^k has trace V_k(s) and v^k = 1 iff
+        V_k(s) = 2 (``lucas``); v^(q+1) = N(v) = 1, so v has order q + 1
+        iff V_((q+1)/r)(s) != 2 for every prime r dividing q + 1.
+        """
+        fq, n = self.base, self.q + 1
+        two = fq.add(1, 1)
+        return all(lucas(fq, s, n // r) != two for r in self._qp1_primes)
+
+    def first_primitive(self):
+        """First generator of F_{q^2}* in encoding order.
+
+        u generates iff N(u) = u^(q+1) generates F_q* and u^(q-1) has order
+        q + 1.  If so, the order d of u has d / gcd(d, q+1) = q - 1 and
+        d / gcd(d, q-1) = q + 1.  A prime dividing only one of q - 1 and
+        q + 1 then divides d to its full power in q^2 - 1; for 2 and odd q,
+        v_2(d) - min(v_2(d), v_2(q+1)) = v_2(q-1) > 0 forces v_2(d) =
+        v_2(q^2 - 1).  So d = q^2 - 1, and the scan, by encoding like a scan
+        by element orders, picks the same gamma.  The encodings below q are
+        F_q, whose elements have order dividing q - 1, so it starts at q.
+        """
+        fq, q = self.base, self.q
+        for e in range(q, q * q):
+            u = self.from_encoding(e)
+            if (fq.element_order(self.norm(u)) == q - 1
+                    and self.generates_norm_one(self.ratio_trace(u))):
+                return u
+        raise InvariantViolated(f"F_({q}^2)* has no generator, though it is cyclic")
+
     def pow(self, u, e):
         if e < 0:
             u, e = self.inv(u), -e
@@ -509,25 +574,26 @@ def build_setup(pp: PrimePower) -> FieldSetup:
 
     The scan starts at encoding q, the first element outside F_q: the
     encodings 1..q-1 are F_q*, where xi**(q-1) = 1, so none of them can
-    yield alpha and skipping them leaves the chosen alpha unchanged.
+    yield alpha and skipping them leaves the chosen alpha unchanged.  Each
+    candidate is judged on the trace s of xi**(q-1) alone
+    (``QuadraticExtension.ratio_trace`` and ``generates_norm_one``), an
+    exact test of the same predicate, so alpha = xi^q / xi is the one a
+    scan by scalar powers picks; only the winner is built, and t = s.
     """
     fq = make_field(pp.l, pp.r)
     fq2 = QuadraticExtension(fq)
     q = pp.q
-    qp1_primes = list(factorize(q + 1))
-    alpha = None
     for e in range(q, q * q):
         xi = fq2.from_encoding(e)
-        cand = fq2.pow(xi, q - 1)  # order divides (q^2-1)/(q-1) = q+1
-        if cand == fq2.one:
-            continue
-        if all(fq2.pow(cand, (q + 1) // s) != fq2.one for s in qp1_primes):
-            alpha = cand
+        t = fq2.ratio_trace(xi)
+        if fq2.generates_norm_one(t):
             break
-    if alpha is None:
+    else:
         raise InvariantViolated(f"q={q}: no element of order q+1 in F_(q^2)*, "
                                 "which is cyclic of order q^2-1")
-    t = fq2.trace(alpha)
+    alpha = fq2.mul(fq2.frobenius(xi), fq2.inv(xi))
+    if fq2.norm(alpha) != 1 or fq2.trace(alpha) != t:
+        raise InvariantViolated(f"q={q}: xi^q / xi = {alpha} has not norm 1 and trace {t}")
     if t in (0, 1, fq.neg(1)):
         # only happens for q + 1 < 8 (alpha would satisfy X^6 = 1)
         raise ValueError(f"q={q}: trace of alpha degenerate (q+1 >= 8 required)")

@@ -2,14 +2,12 @@
 
 Elements are coefficient maps from canonical group elements to nonzero
 Python integers, so the (1 - k^m)/n coefficients of Bass units never
-overflow.  Construction of Bass units, of the two bicyclic-unit shapes,
-and conjugation are provided; nothing representation-theoretic lives
-here.
+overflow.  ``bicyclic_right`` builds the bicyclic unit the certificates
+pair with a Bass unit; nothing representation-theoretic lives here.
 """
 
 from __future__ import annotations
 
-from .errors import InvalidSpec
 from .projective import Element, PSL2
 
 
@@ -92,9 +90,6 @@ class GroupRingElement:
             e >>= 1
         return result
 
-    def augmentation(self) -> int:
-        return sum(self.coeffs.values())
-
     def items_sorted(self):
         """Debug rendering order: sorted (matrix tuple, coefficient) pairs."""
         return sorted(self.coeffs.items())
@@ -115,41 +110,9 @@ def hat(group: PSL2, g: Element) -> GroupRingElement:
     return GroupRingElement(group, coeffs)
 
 
-def bass_unit(group: PSL2, base: Element, k: int, m: int) -> GroupRingElement:
-    """The Bass unit (1 + g + ... + g^(k-1))^m + ((1 - k^m)/n) ghat."""
-    n = group.element_order(base)
-    if pow(k, m, n) != 1:
-        raise InvalidSpec(f"k^m = {k}^{m} is not 1 mod {n}")
-    partial: dict[Element, int] = {}
-    cur = group.normalize(group.identity)
-    for _ in range(k):
-        partial[cur] = partial.get(cur, 0) + 1
-        cur = group.compose(cur, base)
-    geometric = GroupRingElement(group, partial) ** m
-    correction = (1 - k ** m) // n
-    return geometric + hat(group, base) * correction
-
-
 def bicyclic_right(group: PSL2, g: Element, h: Element) -> GroupRingElement:
     """1 + (1 - g) h ghat; trivial exactly when h normalizes <g>."""
     one = GroupRingElement.one(group)
     g_el = GroupRingElement.from_element(group, g)
     h_el = GroupRingElement.from_element(group, h)
     return one + (one - g_el) * h_el * hat(group, g)
-
-
-def bicyclic_left(group: PSL2, g: Element, h: Element) -> GroupRingElement:
-    """1 + ghat h (1 - g); mirror of bicyclic_right."""
-    one = GroupRingElement.one(group)
-    g_el = GroupRingElement.from_element(group, g)
-    h_el = GroupRingElement.from_element(group, h)
-    return one + hat(group, g) * h_el * (one - g_el)
-
-
-def conjugate_unit(u: GroupRingElement, h: Element) -> GroupRingElement:
-    """h u h^-1, support-wise."""
-    group = u.group
-    out: dict[Element, int] = {}
-    for s, c in u.coeffs.items():
-        out[group.conj_unit(s, h)] = c
-    return GroupRingElement(group, out)

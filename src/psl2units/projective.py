@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InvariantViolated
-from .finite_fields import Field, FieldSetup, factorize, is_prime
+from .finite_fields import Field, FieldSetup, factorize, is_prime, lucas
 
 INF = 0  # point index of [1, 0]
 
@@ -154,7 +154,7 @@ class PSL2:
         order is the characteristic l.  Otherwise the eigenvalues
         lam, 1/lam of m are distinct (lam = 1/lam = +-1 would give
         t = +-2), so m is diagonalisable over F_q^2, and so is m^k,
-        with trace V_k = lam^k + lam^-k.  If V_k = 2e with
+        with trace V_k = lam^k + lam^-k (``lucas``).  If V_k = 2e with
         e = +-1, then mu = lam^k solves (mu - e)^2 = 0, so both eigenvalues
         of m^k are e and m^k = e I; conversely m^k = +-I gives V_k = +-2.
         Hence m has order n iff V_n = +-2 and V_(n/s) != +-2 for every
@@ -168,22 +168,9 @@ class PSL2:
         t = fq.add(a, d)
         if t in scalars:
             return n == (1 if b == c == 0 else fq.l)
-
-        def lucas(k: int) -> int:
-            # (V_j, V_j+1) over the bits of k, from the top, by the Lucas
-            # ladder V_2j = V_j^2 - 2, V_2j+1 = V_j V_j+1 - t
-            v, w = two, t
-            for bit in bin(k)[2:]:
-                vw = fq.sub(fq.mul(v, w), t)
-                if bit == "1":
-                    v, w = vw, fq.sub(fq.mul(w, w), two)
-                else:
-                    v, w = fq.sub(fq.mul(v, v), two), vw
-            return v
-
-        if lucas(n) not in scalars:
+        if lucas(fq, t, n) not in scalars:
             return False
-        return all(lucas(n // s) not in scalars for s in factorize(n))
+        return all(lucas(fq, t, n // s) not in scalars for s in factorize(n))
 
     def conj_unit(self, x: Element, h: Element) -> Element:
         """x conjugated in unit convention: h * x * h^-1."""

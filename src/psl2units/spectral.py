@@ -9,8 +9,9 @@ integer arithmetic: a linear combination of p-th roots of unity
 vanishes iff its coefficient sequence is constant, so every kernel or
 orthogonality test reduces to constancy of integer sequences
 (``vanishes``).  Floating point appears only in the eigenvalue
-magnitudes, where only the ordering matters and the gaps are large, and
-in the independent dense oracle used to cross-check the exact verdict.
+magnitudes, where only the ordering matters and the gaps are large (for
+k = 2 the ordering is known in closed form), and in the independent
+dense oracle used to cross-check the exact verdict.
 
 The exact certificate reads everything from at most three permutation
 rows.  The displacement tau = rho(v - 1) of the candidate
@@ -38,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, InvariantViolated
+from .finite_fields import is_prime
 from .group_ring import GroupRingElement, bicyclic_right
 from .orbits import OrbitTable
 from .projective import INF, CanonicalGenerators, Element, PSL2
@@ -172,16 +174,28 @@ def integer_rank(mat: np.ndarray) -> int:
 class EigenData:
     """Magnitudes of the Bass unit evaluated at the p-th roots of unity.
 
-    values[b] = |u(zeta^b)| for 0 <= b <= (p-1)/2 as high-precision reals;
-    b_plus and b_minus index the unique maximal and minimal magnitude.
+    b_plus and b_minus index the unique maximal and minimal magnitude;
+    values[b] = |u(zeta^b)| for 0 <= b <= (p-1)/2 are high-precision
+    reals, computed with mpmath when first read.
     """
 
     p: int
     k: int
     m: int
-    values: tuple
     b_plus: int
     b_minus: int
+
+    @cached_property
+    def values(self) -> tuple:
+        return _magnitudes(self.p, self.k, self.m)
+
+
+def _magnitudes(p: int, k: int, m: int) -> tuple:
+    import mpmath  # imported here: a sweep never needs it, and it costs about 4 MB
+    with mpmath.workdps(50):
+        return (mpmath.mpf(1),) + tuple(
+            abs(mpmath.sin(mpmath.pi * k * b / p) / mpmath.sin(mpmath.pi * b / p)) ** m
+            for b in range(1, (p - 1) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +206,16 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
     multiple of p; under these the magnitudes are pairwise distinct and
     the extremes are attained away from b = 0.  Cached per (p, k, m); a
     spec that fails a check raises on every call, as nothing is cached for it.
+
+    For k = 2 mod p and p prime the extremes are known in closed form:
+    the magnitude is |2 cos(pi b/p)|^m, and 2 cos(pi b/p) is positive and
+    strictly decreasing on b = 1..(p-1)/2, where pi b/p lies in (0, pi/2).
+    It is 1 only at pi b/p = pi/3, that is 3b = p, which no prime p > 3
+    allows (k = 2 outside {0, 1, -1} mod p gives p > 3).  Its largest value
+    2 cos(pi/p) exceeds 1 and its smallest 2 sin(pi/(2p)) lies below 1 for
+    p > 3, so with m >= 1 the magnitudes are distinct from each other and
+    from values[0] = 1, b_plus = 1 and b_minus = (p-1)/2.  Other k evaluate
+    the magnitudes with mpmath and check the gaps.
     """
     if k % p in (0, 1, p - 1):
         raise InvalidSpec(f"k={k} is 0 or +-1 mod {p}")
@@ -199,13 +223,12 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         raise InvalidSpec(f"k^m != 1 mod {p}")
     if m < 1 or m % p != 0:
         raise InvalidSpec(f"m={m} must be a positive multiple of p={p}")
-    import mpmath  # imported here: a sweep never needs it, and it costs about 4 MB
     half = (p - 1) // 2
+    if k % p == 2 and is_prime(p):
+        return EigenData(p=p, k=k, m=m, b_plus=1, b_minus=half)
+    import mpmath
     with mpmath.workdps(50):
-        values = [mpmath.mpf(1)]
-        for b in range(1, half + 1):
-            ratio = abs(mpmath.sin(mpmath.pi * k * b / p) / mpmath.sin(mpmath.pi * b / p))
-            values.append(ratio ** m)
+        values = _magnitudes(p, k, m)
         # in sorted order every pair's relative gap is at least that of an
         # adjacent pair, so checking neighbours decides all pairs
         order = sorted(range(half + 1), key=values.__getitem__)
@@ -219,43 +242,7 @@ def eigen_data(p: int, k: int, m: int) -> EigenData:
         if not values[b_plus] > 1 > values[b_minus]:
             raise InvariantViolated(f"p={p}, k={k}, m={m}: an extreme magnitude "
                                     "is attained at b = 0")
-    return EigenData(p=p, k=k, m=m, values=tuple(values), b_plus=b_plus, b_minus=b_minus)
-
-
-# ---------------------------------------------------------------------------
-# Exact checks of the diagonalizing matrix
-
-
-def diagonalizer_identities(gens: CanonicalGenerators, tab: OrbitTable) -> tuple[bool, bool]:
-    """Exact cyclotomic verification of PbarP = pI and P a PbarP-conjugation.
-
-    Returns (unitary_ok, diagonal_ok): the first checks PbarP = p Id, the
-    second that conjugating the permutation matrix of a by P gives
-    p Diag(zeta^b) with the eigenvalue zeta^b at column a^b(z).
-    """
-    p = gens.p
-    n = gens.group.n_points
-    pos = np.empty(n, dtype=np.int64)  # x = a^b(z) sits at offset b of its a-orbit's block
-    pos[tab.order_idx] = np.arange(n)
-    orbit, power = (pos // p).tolist(), (pos % p).tolist()
-    unitary_ok = True
-    diagonal_ok = True
-    for x in range(n):
-        ox, bx = orbit[x], power[x]
-        for y in range(n):
-            oy, by = orbit[y], power[y]
-            prod = [0] * p
-            diag = [0] * p
-            if ox == oy:
-                for bu in range(p):
-                    prod[((by - bx) * bu) % p] += 1
-                    diag[(bx * (bu + 1) - bu * by) % p] += 1
-            if x == y:  # subtract the expected p and p zeta^bx
-                prod[0] -= p
-                diag[bx % p] -= p
-            unitary_ok &= vanishes(prod)
-            diagonal_ok &= vanishes(diag)
-    return unitary_ok, diagonal_ok
+    return EigenData(p=p, k=k, m=m, b_plus=b_plus, b_minus=b_minus)
 
 
 # ---------------------------------------------------------------------------

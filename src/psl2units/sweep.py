@@ -74,17 +74,6 @@ class SweepRecord:
     def digest(self) -> str:
         return _payload_digest(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SweepRecord":
-        frac = None
-        if "fraction" in d:
-            num, den = d["fraction"].split("/")
-            frac = (int(num), int(den))
-        return cls(q=d["q"], l=d["l"], r=d["r"], p=d["p"], d=d["d"],
-                   t_encoding=d["t_encoding"], h=d.get("h"), tries=d["tries"],
-                   satisfied=d["satisfied"], fraction=frac,
-                   elapsed_ms=d["elapsed_ms"], mode=d["mode"])
-
 
 def _payload_digest(record: dict) -> str:
     """sha256 of a record's JSON object without its ``elapsed_ms``."""

@@ -200,7 +200,7 @@ def coset_key(gens, h):
     _require_outside_dihedralizer(gens, h)
     fq2 = gens.setup.fq2
     xi = fq2.neg(gens.setup.alpha)
-    a, b, c, d = (fq2.embed(x) for x in h)
+    a, b, c, d = ((x, 0) for x in h)
     num = fq2.add(fq2.mul(a, xi), b)  # h(xi) = num / den
     den = fq2.add(fq2.mul(c, xi), d)
     near = fq2.sub(num, fq2.mul(den, xi))

@@ -12,17 +12,17 @@ import pytest
 from psl2units.classify import dpc_verdict, multiplicative_order
 from psl2units.engine import ConditionEngine
 from psl2units.finite_fields import PrimePower, factorize, make_field
-from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
+from psl2units.group_ring import GroupRingElement, bicyclic_right
 from psl2units.projective import PSL2
 from psl2units.spectral import (
-    diagonalizer_identities, eigen_data, exact_certificate, integer_rank,
+    eigen_data, exact_certificate, integer_rank,
     nilpotent_part, numeric_oracle, paired_companion, recipe_element,
     sigma_companion,
 )
 from psl2units.sweep import admissible_primes, check_single, odd_prime_powers, \
     run_sweep
 
-from conftest import _context, random_outside_dihedralizer
+from conftest import _context, bass_unit, diagonalizer_identities, random_outside_dihedralizer
 
 
 def _verdict(criterion, ok, detail):

@@ -257,7 +257,7 @@ def test_setup_minimal_polynomial_of_alpha():
     for (l, r) in ((13, 1), (5, 2), (2, 4), (3, 3)):
         setup = build_setup(PrimePower.make(l, r))
         fq2 = setup.fq2
-        t_emb = fq2.embed(setup.t)
+        t_emb = (setup.t, 0)
         lhs = fq2.add(fq2.sub(fq2.mul(setup.alpha, setup.alpha),
                               fq2.mul(t_emb, setup.alpha)), fq2.one)
         assert lhs == fq2.zero
@@ -311,6 +311,46 @@ def _setup_scan_from_one(pp):
             break
     beta = next(x for x in range(1, q) if fq.element_order(x) == q - 1)
     return alpha, fq2.trace(alpha), beta
+
+
+# sha256 of json.dumps([[q, [alpha_lo, alpha_hi], t, beta], ...]) over every
+# prime power 8 <= q < 10^4 in increasing order (1275 of them, 11 even), as
+# build_setup chose them by scalar (q-1)-th powers in F_{q^2}
+SETUP_SHA256 = "bf88f6819c04ab857b9889d85cd591c3dbac39adac05c79565f64f294b3a3f9e"
+
+
+def test_setups_pinned_below_ten_thousand():
+    rows = []
+    for pp in _prime_powers(8, 10 ** 4):
+        setup = build_setup(pp)
+        rows.append([pp.q, list(setup.alpha), setup.t, setup.beta])
+    assert (len(rows), sum(q % 2 == 0 for q, *_ in rows)) == (1275, 11)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SETUP_SHA256
+
+
+def test_first_primitive_matches_element_order_scan():
+    # the engine's gamma against the scan it made before, by scalar element
+    # orders in F_{q^2} from encoding q
+    odd = [pp for pp in _prime_powers(5, 1000) if pp.l > 2]
+    assert len(odd) == 183
+    for pp in odd:
+        fq2 = QuadraticExtension(make_field(pp.l, pp.r))
+        n = pp.q * pp.q - 1
+        gamma = next(u for u in map(fq2.from_encoding, range(pp.q, pp.q * pp.q))
+                     if fq2.element_order(u) == n)
+        assert fq2.first_primitive() == gamma, pp.q
+
+
+@pytest.mark.parametrize("q", [9, 13, 16, 27, 32])
+def test_ratio_trace_and_order_test_match_scalar_powers(q):
+    # every xi outside F_q: the trace of xi^(q-1) and whether it has order q + 1
+    fq2 = QuadraticExtension(make_field(*prime_power_decomposition(q)))
+    for e in range(q, q * q):
+        xi = fq2.from_encoding(e)
+        u = fq2.pow(xi, q - 1)
+        s = fq2.ratio_trace(xi)
+        assert s == fq2.trace(u)
+        assert fq2.generates_norm_one(s) == (fq2.element_order(u) == q + 1)
 
 
 def test_setup_matches_scan_from_encoding_one():

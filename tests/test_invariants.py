@@ -162,15 +162,17 @@ def test_orbits_of_a_wrong_g_are_rejected(ctx13):
 
 
 def test_eigen_data_rejects_collisions_and_misplaced_extremes(monkeypatch):
+    # k = 2 takes the closed form, so the checked mpmath route runs at k = 3
+    # (3 has order 6 mod 7, so m = 42)
     import mpmath
-    assert spectral.eigen_data(7, 2, 21).values[0] == 1
+    assert spectral.eigen_data(7, 3, 42).values[0] == 1
     spectral.eigen_data.cache_clear()  # recompute under the patched sine below
     monkeypatch.setattr(mpmath, "sin", lambda x: mpmath.mpf(1))  # every magnitude 1
     with pytest.raises(InvariantViolated, match="magnitude collision at b=0,1"):
-        spectral.eigen_data(7, 2, 21)
+        spectral.eigen_data(7, 3, 42)
     monkeypatch.setattr(mpmath, "sin", lambda x: x + 10)  # every magnitude above 1
     with pytest.raises(InvariantViolated, match="extreme magnitude"):
-        spectral.eigen_data(7, 2, 21)
+        spectral.eigen_data(7, 3, 42)
 
 
 def _rejected_under_python_O(code: str) -> str:
@@ -194,6 +196,20 @@ try:
 except InvariantViolated:
     print("rejected")
 """) == "rejected"
+
+
+def test_setup_winner_check_survives_python_O():
+    # a scan fed traces off by one accepts some xi, whose xi^q / xi then
+    # has a trace other than the one the scan read
+    assert _rejected_under_python_O("""
+from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup
+true_trace = QuadraticExtension.ratio_trace
+QuadraticExtension.ratio_trace = lambda self, u: self.base.add(true_trace(self, u), 1)
+try:
+    build_setup(PrimePower.from_q(13))
+except InvariantViolated as exc:
+    print("has not norm 1 and trace" in str(exc))
+""") == "True"
 
 
 def test_semisimple_wrong_order_g_is_rejected_under_python_O():

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -9,20 +13,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psl2units.classify import multiplicative_order
 from psl2units.engine import ConditionEngine
+from psl2units.finite_fields import is_prime
 from psl2units import spectral
 from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, InvariantViolated
-from psl2units.group_ring import GroupRingElement, bass_unit, bicyclic_right
+from psl2units.group_ring import GroupRingElement, bicyclic_right
 from psl2units.projective import INF
 from psl2units.spectral import (
-    check_displacement, diagonalizer_identities, eigen_data, exact_certificate,
+    check_displacement, eigen_data, exact_certificate,
     integer_rank, nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
     projection_coeffs, recipe_element, row_displacement, sigma_companion,
     unit_matrix, vanishes,
 )
 
 from bitmask_oracle import balance_table, intersection_counts
-from conftest import _context, cached_context, random_outside_dihedralizer
+from conftest import (
+    _context, bass_unit, cached_context, diagonalizer_identities, random_outside_dihedralizer,
+)
 
 
 # -- cyclotomic coefficients --------------------------------------------------
@@ -133,6 +141,43 @@ def test_eigen_data_rejects_bad_specs():
         eigen_data(7, 2, 0)    # passes the other checks, then magnitudes collide
     with pytest.raises(InvalidSpec, match="m=-21 must be a positive multiple"):
         eigen_data(7, 2, -21)  # 2^-21 = 1 mod 7: the extremes of m = 21, swapped
+
+
+def test_eigen_data_closed_form_matches_mpmath():
+    # k = 2: b_plus = 1 and b_minus = (p-1)/2, against the extremes of the
+    # mpmath magnitudes, which must be distinct and straddle values[0] = 1
+    primes = [p for p in range(7, 500) if is_prime(p)]
+    assert len(primes) == 92
+    for p in primes:
+        m = p * multiplicative_order(2, p)
+        ed = eigen_data(p, 2, m)
+        values = spectral._magnitudes(p, 2, m)
+        half = (p - 1) // 2
+        assert ed.b_plus == max(range(1, half + 1), key=values.__getitem__) == 1, p
+        assert ed.b_minus == min(range(1, half + 1), key=values.__getitem__) == half, p
+        assert len(set(values)) == half + 1 and values[1] > 1 > values[half], p
+
+
+def test_exact_certificate_leaves_mpmath_unimported():
+    code = """
+import random, sys
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+from psl2units.spectral import exact_certificate
+gens = make_generators(build_setup(PrimePower.from_q(27)), 7)
+rng = random.Random(0)
+h = gens.group.random_element(rng)
+while gens.group.in_dihedralizer(h, gens.g):
+    h = gens.group.random_element(rng)
+exact_certificate(gens, build_orbits(gens), h, 2, 21)
+print("mpmath" in sys.modules)
+"""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_eigen_data_is_shared_and_frozen():

@@ -16,6 +16,18 @@ from psl2units.sweep import (
 )
 
 
+def record_from_json(d: dict) -> SweepRecord:
+    """The record a JSON line of the sweep output was written from."""
+    frac = None
+    if "fraction" in d:
+        num, den = d["fraction"].split("/")
+        frac = (int(num), int(den))
+    return SweepRecord(q=d["q"], l=d["l"], r=d["r"], p=d["p"], d=d["d"],
+                       t_encoding=d["t_encoding"], h=d.get("h"), tries=d["tries"],
+                       satisfied=d["satisfied"], fraction=frac,
+                       elapsed_ms=d["elapsed_ms"], mode=d["mode"])
+
+
 def test_admissible_primes():
     assert admissible_primes(13) == [7]
     assert admissible_primes(27) == [7]
@@ -115,7 +127,7 @@ def test_record_json_roundtrip():
     data = json.loads(rec.to_json_line())
     assert list(data) == ["q", "l", "r", "p", "d", "t_encoding", "h", "tries",
                           "satisfied", "fraction", "elapsed_ms", "mode"]
-    back = SweepRecord.from_json_dict(data)
+    back = record_from_json(data)
     assert back.digest() == rec.digest()
 
 
@@ -186,7 +198,7 @@ def test_run_sweep_resume_drops_torn_last_lines(tmp_path):
     # an interrupted write leaves the last line of the output or of the
     # journal cut short; resume drops such a line and runs its pair again
     def digests(path):
-        return [SweepRecord.from_json_dict(json.loads(line)).digest()
+        return [record_from_json(json.loads(line)).digest()
                 for line in path.read_text().splitlines()]
 
     clean = tmp_path / "clean.jsonl"
@@ -238,9 +250,9 @@ def test_run_sweep_resume_reruns_valid_json_partial_record(tmp_path, bad, in_jou
     resumed = run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=out, resume=True)
     assert (resumed.pairs, resumed.satisfied, resumed.counterexamples) \
         == (len(lines), len(lines), [])
-    assert [SweepRecord.from_json_dict(json.loads(line)).digest()
+    assert [record_from_json(json.loads(line)).digest()
             for line in out.read_text().splitlines()] \
-        == [SweepRecord.from_json_dict(json.loads(line)).digest() for line in lines]
+        == [record_from_json(json.loads(line)).digest() for line in lines]
 
 
 def test_run_sweep_emits_expected_pairs(tmp_path):
@@ -374,7 +386,7 @@ def test_cli_sweep_resume_reruns_partial_record(tmp_path):
     out.write_text("\n".join([_partial_line(lines[0], "mode")] + lines[1:]) + "\n")
     proc = _cli(*argv, "--resume")
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
+    digests = [record_from_json(json.loads(line)).digest()
                for line in (lines[0], out.read_text().splitlines()[0])]
     assert digests[0] == digests[1]
 
@@ -398,7 +410,7 @@ def test_run_sweep_resume_reruns_altered_line(tmp_path):
     lines = out.read_text().splitlines()
     records = [json.loads(line) for line in lines]
     i = next(i for i, r in enumerate(records) if (r["q"], r["p"]) == (13, 7))
-    original = SweepRecord.from_json_dict(records[i]).digest()
+    original = record_from_json(records[i]).digest()
     altered = dict(records[i], h=[0, 0, 0, 0], satisfied=False)
     lines[i] = json.dumps(altered, separators=(", ", ": "))
     out.write_text("\n".join(lines) + "\n")
@@ -408,7 +420,7 @@ def test_run_sweep_resume_reruns_altered_line(tmp_path):
     after = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(r["q"], r["p"]) for r in after] == [(r["q"], r["p"]) for r in records]
     redone = next(r for r in after if (r["q"], r["p"]) == (13, 7))
-    assert redone["satisfied"] and SweepRecord.from_json_dict(redone).digest() == original
+    assert redone["satisfied"] and record_from_json(redone).digest() == original
 
 
 # sha256 over the record digests of run_sweep(7, 999, samples=200, seed=1),
@@ -422,7 +434,7 @@ def test_run_sweep_records_pinned(tmp_path):
     out = tmp_path / "sweep.jsonl"
     summary = run_sweep(7, 999, samples=200, seed=1, jobs=1, out_path=out)
     assert (summary.pairs, summary.satisfied) == (164, 164)
-    digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
+    digests = [record_from_json(json.loads(line)).digest()
                for line in out.read_text().splitlines()]
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_7_999_SHA256
 
@@ -437,6 +449,6 @@ def test_run_sweep_full_range_pinned(tmp_path):
     out = tmp_path / "sweep.jsonl"
     summary = run_sweep(7, 9999, samples=200, seed=1, jobs=2, out_path=out)
     assert (summary.pairs, summary.satisfied) == (1598, 1598)
-    digests = [SweepRecord.from_json_dict(json.loads(line)).digest()
+    digests = [record_from_json(json.loads(line)).digest()
                for line in out.read_text().splitlines()]
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_7_9999_SHA256
