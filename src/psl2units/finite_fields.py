@@ -168,9 +168,9 @@ def _power_encodings(x, cand, n, l):
 # Base field
 
 
-def _order_in_group(n: int, is_one, powfn) -> int:
+def _order_in_group(n: int, primes, is_one, powfn) -> int:
     o = n
-    for s in factorize(n):
+    for s in primes:
         while o % s == 0 and is_one(powfn(o // s)):
             o //= s
     return o
@@ -282,10 +282,16 @@ class PrimeField(Field):
             return True
         return pow(x, (self.l - 1) // 2, self.l) == 1
 
+    @cached_property
+    def _qm1_primes(self) -> tuple[int, ...]:
+        """The primes dividing q - 1, factorised once per field."""
+        return tuple(factorize(self.q - 1))
+
     def element_order(self, x):
         if x == 0:
             raise ZeroElement("order of 0 is undefined")
-        return _order_in_group(self.q - 1, lambda v: v == 1, lambda e: self.pow(x, e))
+        return _order_in_group(self.q - 1, self._qm1_primes, lambda v: v == 1,
+                               lambda e: self.pow(x, e))
 
 
 class ExtensionField(Field):
@@ -548,7 +554,8 @@ class QuadraticExtension:
         if u == self.zero:
             raise ZeroElement("order of 0 is undefined")
         n = self.q * self.q - 1
-        return _order_in_group(n, lambda v: v == self.one, lambda e: self.pow(u, e))
+        return _order_in_group(n, factorize(n), lambda v: v == self.one,
+                               lambda e: self.pow(u, e))
 
 
 # ---------------------------------------------------------------------------

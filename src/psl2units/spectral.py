@@ -15,7 +15,7 @@ dense oracle used to cross-check the exact verdict.
 
 The exact certificate reads everything from at most three permutation
 rows.  The displacement tau = rho(v - 1) of the candidate
-v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j, built by
+v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j, walked by
 ``row_displacement`` from the rows of x and y alone, since the action is
 a homomorphism: (x, y) = (g, h) for odd q and (sigma, g) for even q.
 The image vector psi and the kernel functional phi are numpy gathers
@@ -23,16 +23,16 @@ from the row of h and the orbit table (g^-1 and the g-orbit labels).
 Read once along the h-images of the a-orbits through the table's
 ``rows``, phi and psi give the profiles that decide escape and meet, and
 their cyclic correlation gives the projection coefficients.
-``check_displacement`` decides tau^2 = 0 and tau = psi phi^T exactly, in
-int64 and with O(n) memory beside the dense tau.  Every column of tau^2
-is tau times a column of tau, and once tau = psi phi^T column j is
-phi_j psi, so tau is multiplied only by the first column of each distinct
-value of phi: two for odd q, three for even q.  Together with the
-factorisation, checked a block of rows at a time, this accepts exactly
-the tau that squares to zero and equals psi phi^T.  Its rank is then
-1 iff psi and phi are nonzero.  The group ring route (``nilpotent_part``
-of ``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is
-the dense oracle's and the tests'.
+As xhat x = xhat, column c of tau equals column x(c), so tau is constant
+on the x-orbits, and so is phi, which is checked.  tau = psi phi^T then
+holds iff it holds on one column per x-orbit, and phi's values pick
+them: one point per value, whose x-orbits must cover every point (two
+orbits for odd q, three for even q).  Only those columns are walked, an
+n x 2 or n x 3 array.  Once tau = psi phi^T, tau^2 = (phi . psi) tau, so
+tau squares to zero iff phi . psi = 0, and its rank is 1 iff psi and phi
+are nonzero.  The group ring route (``nilpotent_part`` of
+``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is the
+dense oracle's and the tests'.
 """
 
 from __future__ import annotations
@@ -90,46 +90,34 @@ def nilpotent_part(group: PSL2, v: GroupRingElement) -> np.ndarray:
     return unit_matrix(group, v - 1)
 
 
-def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray) -> np.ndarray:
-    """(I - P_x) P_y sum_j P_x^j, the image of (1 - x) y xhat, from the rows
-    of x and y: column c gains e_(y x^j c) - e_(x y x^j c) for every j below
-    the order of x, found by walking x's row back to the identity within n
-    steps.  The whole row of x^j is compared with the identity only when
-    x^j fixes i0, the first point x moves; for g and sigma, whose cycles
-    through i0 have the full order of x, that is once."""
+def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns cols of (I - P_x) P_y sum_j P_x^j, the image of (1 - x) y
+    xhat, from the rows of x and y: column c gains e_(y x^j c) - e_(x y x^j c)
+    for every j below the order of x, found by walking x's row back to the
+    identity within n steps.  The whole row of x^j is compared with the
+    identity only when x^j fixes i0, the first point x moves; for g and
+    sigma, whose cycles through i0 have the full order of x, that is once.
+    Column c equals column x(c), so the columns decide the whole matrix
+    only if their x-orbits cover every point, which the walk checks."""
     n = len(perm_x)
-    cols = np.arange(n)
-    i0 = int(np.argmax(perm_x != cols))  # 0 when x moves no point
-    tau = np.zeros((n, n), dtype=np.int64)
-    cur = cols  # the row of x^j
+    ident = np.arange(n)
+    i0 = int(np.argmax(perm_x != ident))  # 0 when x moves no point
+    k = np.arange(len(cols))
+    tau = np.zeros((n, len(cols)), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)  # the x-orbits of cols walked so far
+    cur = ident  # the row of x^j
     for _ in range(n):
-        img = perm_y[cur]
-        tau[img, cols] += 1
-        tau[perm_x[img], cols] -= 1
+        pts = cur[cols]
+        seen[pts] = True
+        img = perm_y[pts]
+        tau[img, k] += 1
+        tau[perm_x[img], k] -= 1
         cur = perm_x[cur]
-        if cur[i0] == i0 and np.array_equal(cur, cols):
+        if cur[i0] == i0 and np.array_equal(cur, ident):
+            if not seen.all():
+                raise InvariantViolated("the x-orbits of the walked columns must cover every point")
             return tau
     raise InvariantViolated(f"x does not return to the identity within {n} steps")
-
-
-ROWS_PER_BLOCK = 64  # rows of tau compared with psi phi^T at a time
-
-
-def check_displacement(tau: np.ndarray, psi: np.ndarray, phi: np.ndarray) -> None:
-    """Raise InvariantViolated unless tau^2 = 0 and tau = psi phi^T, in this
-    order.  The square is tau times the first column of each distinct value
-    of phi, which decides tau^2 = 0 once tau = psi phi^T: column j is then
-    phi_j psi, so tau^2 = psi (phi . psi) phi^T vanishes iff tau (v psi)
-    does for some v != 0 among phi's values, or phi = 0.  The factorisation
-    is compared a block of ROWS_PER_BLOCK rows at a time, so no n x n
-    temporary is built."""
-    _, first = np.unique(phi, return_index=True)
-    if (tau @ tau[:, first]).any():
-        raise InvariantViolated("displacement must square to zero")
-    for s in range(0, len(psi), ROWS_PER_BLOCK):
-        rows = slice(s, s + ROWS_PER_BLOCK)
-        if not np.array_equal(tau[rows], np.outer(psi[rows], phi)):
-            raise InvariantViolated("displacement must factor through the expected image vector")
 
 
 def sigma_companion(gens: CanonicalGenerators) -> GroupRingElement:
@@ -316,27 +304,16 @@ class ExactCertificate:
         return {**asdict(self), "h": list(self.h)}
 
 
-def _displacement(gens: CanonicalGenerators, h: Element, k: int, m: int,
-                  perm_h: np.ndarray | None = None):
-    """Parity of q, eigen data of the Bass unit and the dense displacement
-    tau = rho(v - 1) of the candidate v that the certificates pair with it:
-    1 + (1 - g) h ghat for odd q (h must avoid the dihedralizer) and
-    1 + (1 - sigma) g sigmahat for even q.  Given the row perm_h of h, tau
-    comes from ``row_displacement`` over the rows of (g, h) or (sigma, g);
-    without it, from the group ring, which is the dense oracle's route."""
-    group = gens.group
+def _candidate(gens: CanonicalGenerators, h: Element, k: int, m: int):
+    """Parity of q, eigen data of the Bass unit and the pair (x, y) of the
+    candidate 1 + (1 - x) y xhat that the certificates pair with it:
+    (g, h) for odd q, where h must avoid the dihedralizer, and (sigma, g)
+    for even q."""
     parity = "even" if gens.q % 2 == 0 else "odd"
     ed = eigen_data(gens.p, k, m)
-    if parity == "odd" and group.in_dihedralizer(h, gens.g):
+    if parity == "odd" and gens.group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>")
-    if perm_h is None:
-        v = sigma_companion(gens) if parity == "even" else paired_companion(gens, h)
-        return parity, ed, nilpotent_part(group, v)
-    if parity == "even":
-        x, perm_y = gens.sigma, group.perm_array(gens.g)
-    else:
-        x, perm_y = gens.g, perm_h
-    return parity, ed, row_displacement(group.perm_array(x), perm_y)
+    return parity, ed, ((gens.g, h) if parity == "odd" else (gens.sigma, gens.g))
 
 
 def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
@@ -346,17 +323,27 @@ def exact_certificate(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     Odd q pairs the conjugated Bass unit with the h-indexed bicyclic
     candidate (h must avoid the dihedralizer); even q uses the fixed
     sigma-based candidate with arbitrary h.  All structure facts are
-    recomputed, never assumed: tau^2 = 0 and tau = psi phi^T by
-    ``check_displacement``, which needs O(n) memory beside the dense tau,
-    then phi . psi = 0 and the rank.  The contingent condition is whether
-    the extreme projections of the image vector escape the kernel
-    hyperplane.
+    recomputed, never assumed.  phi must be constant on the x-orbits; then
+    tau = psi phi^T iff it holds on the columns of one point per value of
+    phi, as tau's columns are constant on the x-orbits too, and those are
+    the only columns walked, refused unless their x-orbits cover every
+    point.  With tau = psi phi^T, tau^2 = (phi . psi) tau, so the check
+    phi . psi = 0 is the square-zero test; the rank follows.  The
+    contingent condition is whether the extreme projections of the image
+    vector escape the kernel hyperplane.
     """
-    perm_h = gens.group.perm_array(h)
-    parity, ed, tau = _displacement(gens, h, k, m, perm_h)
+    group = gens.group
+    perm_h = group.perm_array(h)
+    parity, ed, (x, y) = _candidate(gens, h, k, m)
     psi, phi = _odd_vectors(tab, perm_h) if parity == "odd" else _even_vectors(gens)
 
-    check_displacement(tau, psi, phi)
+    perm_x = group.perm_array(x)
+    if not np.array_equal(phi[perm_x], phi):
+        raise InvariantViolated("kernel functional must be constant on the x-orbits")
+    _, reps = np.unique(phi, return_index=True)
+    walked = row_displacement(perm_x, perm_h if parity == "odd" else group.perm_array(y), reps)
+    if not np.array_equal(walked, np.outer(psi, phi[reps])):
+        raise InvariantViolated("displacement must factor through the expected image vector")
     if phi @ psi != 0:
         raise InvariantViolated("image vector must lie in the kernel hyperplane")
     rank = int(psi.any() and phi.any())  # the rank of psi phi^T, which tau equals
@@ -466,15 +453,15 @@ def numeric_oracle(gens: CanonicalGenerators, tab: OrbitTable, h: Element,
     intersections in the quotient by rank computations with singular
     values thresholded at NUMERIC_TOL times the largest.  The displacement
     comes from the group ring (``nilpotent_part`` of the candidate), not
-    from the permutation rows the exact certificate builds it from, so the
-    two routes share no builder.
+    from the permutation rows the exact certificate walks its columns
+    from, so the two routes share no builder.
     """
     group = gens.group
     q = gens.q
     if q > 200:
         raise DimensionTooLarge(f"q={q} exceeds the dense oracle bound 200")
-    parity, ed, tau = _displacement(gens, h, k, m)
-    tau = tau.astype(complex)
+    parity, ed, pair = _candidate(gens, h, k, m)
+    tau = nilpotent_part(group, bicyclic_right(group, *pair)).astype(complex)
     p = gens.p
     n = group.n_points
 

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines as they are produced.
 """
 
+import hashlib
+import json
 import random
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -40,6 +43,23 @@ def test_criterion_1_sweep_reproduction(tmp_path):
                     f"on 7 <= q <= 1999 (samples=200)")
 
 
+def test_sweep_witnesses_certified(tmp_path):
+    # a second exact verdict on every witness of the sweep: the certificate
+    # reads its projection coefficients off a correlation of its own, not
+    # the criteria's shift sums; a refused witness is a finding, kept here
+    out = tmp_path / "sweep.jsonl"
+    summary = run_sweep(q_min=7, q_max=1999, samples=200, seed=1, out_path=out)
+    refused = []
+    for rec in map(json.loads, out.read_text().splitlines()):
+        q, p, h = rec["q"], rec["p"], tuple(rec["h"])
+        gens, tab = _context(rec["l"], rec["r"], p)
+        if not exact_certificate(gens, tab, h, 2, p * multiplicative_order(2, p)).ok:
+            refused.append((q, p, h))
+    assert _verdict(1, summary.pairs == 327 and not refused,
+                    f"{summary.pairs - len(refused)}/{summary.pairs} sweep witnesses "
+                    f"certified on 7 <= q <= 1999, refused: {refused}")
+
+
 # every pair with q + 1 = 2p and q < 1000, the family the paper proves
 _TWO_P_PAIRS = [(13, 7), (25, 13), (37, 19), (61, 31), (73, 37), (81, 41), (121, 61),
                 (157, 79), (193, 97), (277, 139), (313, 157), (361, 181), (397, 199),
@@ -60,14 +80,18 @@ def test_criterion_2_two_p_exactness(q, p):
     assert _verdict(2, ok, f"(q={q}, p={p}) exhaustive fraction {num}/{den}")
 
 
-def _recipe_certified(q, p, x0s):
+@lru_cache(maxsize=None)
+def _recipe_certificates(q, p, x0s):
     """Exact certificates of the even-q recipe elements at the base points
     x0s, with k = 2 and m = p * ord_p(2)."""
     pp = PrimePower.from_q(q)
     gens, tab = _context(pp.l, pp.r, p)
     m = p * multiplicative_order(2, p)
-    return {x0: exact_certificate(gens, tab, recipe_element(gens, x0), 2, m).ok
-            for x0 in x0s}
+    return tuple(exact_certificate(gens, tab, recipe_element(gens, x0), 2, m) for x0 in x0s)
+
+
+def _recipe_certified(q, p, x0s):
+    return {x0: c.ok for x0, c in zip(x0s, _recipe_certificates(q, p, tuple(x0s)))}
 
 
 def test_proven_family_p_equals_5():
@@ -77,13 +101,13 @@ def test_proven_family_p_equals_5():
                     f"(q=4, p=5): recipe certified at x0 in {sorted(certified)}")
 
 
-# the pairs with q even, q < 2048 and p > 5 that pass the predicate, each
-# from three base points; q = 1024 costs about 0.1 s a certificate.  The
-# dense n x n arrays keep q >= 2048 out of the suite: 0.5 s a certificate
-# at q = 2048, 2.5 s and 0.3 GB at 4096, 10 s and 1.1 GB at 8192
+# the pairs with q even, q <= 2^13 and p > 5 that pass the predicate, each
+# from three base points; a certificate walks two or three columns of tau,
+# so the largest, (8192, 2731), takes about 0.3 s and no n x n array
 _EVEN_RECIPES = [(16, 17, (0, 1, 2)), (32, 11, (0, 1, 2)), (64, 13, (0, 1, 2)),
                  (128, 43, (0, 1, 2)), (256, 257, (0, 1, 2)), (512, 19, (0, 1, 2)),
-                 (1024, 41, (0, 1, 2))]
+                 (1024, 41, (0, 1, 2)), (2048, 683, (0, 1, 2)), (4096, 241, (0, 1, 2)),
+                 (8192, 2731, (0, 1, 2))]
 
 
 @pytest.mark.parametrize("q,p,x0s", _EVEN_RECIPES, ids=[f"{q}-{p}" for q, p, _ in _EVEN_RECIPES])
@@ -91,6 +115,19 @@ def test_proven_family_q_even(q, p, x0s):
     certified = _recipe_certified(q, p, x0s)
     assert _verdict("q-even family", all(certified.values()),
                     f"(q={q}, p={p}): recipe certified at x0 in {sorted(certified)}")
+
+
+# sha256 over the json of the as_dict() of the recipe certificates at
+# x0 = 0, 1, 2 for (2048, 683), (4096, 241) and (8192, 2731), as computed
+# when the certificate built the dense n x n tau
+LARGE_RECIPES_SHA256 = "5c2864c032476bebf8258dd1de89aeb17d6a7dc06d9a8e61efdfb92adf8b23a6"
+
+
+def test_large_even_recipe_certificates_pinned():
+    dicts = [c.as_dict() for q, p, x0s in _EVEN_RECIPES[-3:]
+             for c in _recipe_certificates(q, p, x0s)]
+    blob = json.dumps(dicts, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LARGE_RECIPES_SHA256
 
 
 _CENSUS_CACHE = {}

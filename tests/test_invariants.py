@@ -48,8 +48,8 @@ def test_corrupted_counts_are_rejected(ctx13):
 
 def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
     # the rank is read off the checked factorisation tau = psi phi^T: a zero
-    # image vector with a zero displacement factors, squares to zero and
-    # lies in the kernel, and must still be refused as rank 0
+    # image vector with a zero displacement factors and lies in the kernel,
+    # and must still be refused as rank 0
     gens, tab = ctx13
     h = random_outside_dihedralizer(gens, random.Random(6))
     assert spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank == 1
@@ -59,68 +59,77 @@ def test_certificate_rejects_a_wrong_rank(ctx13, monkeypatch):
         psi, phi = true_vectors(tab, perm_h)
         return 0 * psi, phi
 
-    monkeypatch.setattr(spectral, "row_displacement",
-                        lambda perm_x, perm_y: np.zeros((len(perm_x),) * 2, dtype=np.int64))
+    monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y, cols:
+                        np.zeros((len(perm_x), len(cols)), dtype=np.int64))
     monkeypatch.setattr(spectral, "_odd_vectors", zero_image)
     with pytest.raises(InvariantViolated, match="rank 0, not 1"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 
 def test_certificate_rejects_a_wrong_displacement(ctx13, monkeypatch):
-    # the certificate recomputes tau = psi phi^T and tau^2 = 0 rather than
-    # assuming them
+    # the certificate recomputes tau = psi phi^T rather than assuming it:
+    # 2 tau and tau + I differ from psi phi^T on the walked columns
     gens, tab = ctx13
     h = random_outside_dihedralizer(gens, random.Random(6))
     true_rows = spectral.row_displacement
     monkeypatch.setattr(spectral, "row_displacement",
-                        lambda perm_x, perm_y: 2 * true_rows(perm_x, perm_y))
+                        lambda perm_x, perm_y, cols: 2 * true_rows(perm_x, perm_y, cols))
     with pytest.raises(InvariantViolated, match="factor through"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
     monkeypatch.setattr(spectral, "row_displacement",
-                        lambda perm_x, perm_y: true_rows(perm_x, perm_y)
-                        + np.eye(len(perm_x), dtype=np.int64))
-    with pytest.raises(InvariantViolated, match="square to zero"):
+                        lambda perm_x, perm_y, cols: true_rows(perm_x, perm_y, cols)
+                        + np.eye(len(perm_x), dtype=np.int64)[:, cols])
+    with pytest.raises(InvariantViolated, match="factor through"):
         spectral.exact_certificate(gens, tab, h, 2, 21)
 
 
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx16"])
 def test_certificate_rejects_an_image_vector_off_the_kernel(ctx, request, monkeypatch):
-    # tau = psi' phi^T with phi . psi' != 0 has only two (odd q) or three
-    # (even q) distinct columns, like a correct tau, but squares to
-    # (phi . psi') tau, which is not zero
+    # tau = psi' phi^T with phi . psi' != 0 factors through psi', but
+    # squares to (phi . psi') tau, which is not zero
     gens, tab = request.getfixturevalue(ctx)
     if gens.q % 2:
-        h, m = random_outside_dihedralizer(gens, random.Random(6)), 21
+        h, m, vectors = random_outside_dihedralizer(gens, random.Random(6)), 21, "_odd_vectors"
         psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
     else:
-        h, m = spectral.recipe_element(gens, 0), 17 * 8
+        h, m, vectors = spectral.recipe_element(gens, 0), 17 * 8, "_even_vectors"
         psi, phi = spectral._even_vectors(gens)
     assert spectral.exact_certificate(gens, tab, h, 2, m).ok
     psi_off = psi.copy()
     psi_off[np.flatnonzero(phi)[0]] += 1
-    bad = np.outer(psi_off, phi)
-    assert phi @ psi_off != 0 and len(np.unique(bad, axis=1).T) == (2 if gens.q % 2 else 3)
-    monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y: bad)
-    with pytest.raises(InvariantViolated, match="square to zero"):
+    assert phi @ psi_off != 0
+    monkeypatch.setattr(spectral, vectors, lambda *args: (psi_off, phi))
+    monkeypatch.setattr(spectral, "row_displacement",
+                        lambda perm_x, perm_y, cols: np.outer(psi_off, phi[cols]))
+    with pytest.raises(InvariantViolated, match="kernel hyperplane"):
         spectral.exact_certificate(gens, tab, h, 2, m)
 
 
-def _factorisation_faults(psi, phi):
-    """Two displacements near tau = psi phi^T that the square test passes
-    and the factorisation must refuse: one entry changed in the last row and
-    in a column past the first block where psi is 0, and two columns with
-    psi 0 swapped between the groups of phi's values.  Neither touches the
-    first column of a value of phi, which the square test multiplies by."""
-    tau = np.outer(psi, phi)
-    _, first = np.unique(phi, return_index=True)
-    zero = [j for j in np.flatnonzero(psi == 0)
-            if j >= spectral.ROWS_PER_BLOCK and j not in first]
-    i = zero[-1]
-    j = next(j for j in zero if phi[j] != phi[i])
-    poked, swapped = tau.copy(), tau.copy()
-    poked[-1, i] += 1
-    swapped[:, [i, j]] = tau[:, [j, i]]
-    return {"poked": poked, "swapped": swapped}
+def _column_faults(spectral):
+    """Faults of the walked columns at odd q, as patches of spectral's
+    row_displacement or _odd_vectors, each with the message that refuses
+    it: an entry poked in the last row of a walked column, a phi of one
+    value on both g-orbits, whose one walked column leaves an orbit out,
+    and a phi changed at one point, so off the g-orbits."""
+    rows, vectors = spectral.row_displacement, spectral._odd_vectors
+
+    def poked(perm_x, perm_y, cols):
+        tau = rows(perm_x, perm_y, cols)
+        tau[-1, -1] += 1
+        return tau
+
+    def mixed(tab, perm_h):
+        psi, phi = vectors(tab, perm_h)
+        return psi, abs(phi)
+
+    def off_orbits(tab, perm_h):
+        psi, phi = vectors(tab, perm_h)
+        phi[-1] = 0
+        return psi, phi
+
+    return {"poked": ({"row_displacement": poked}, "factor through"),
+            "mixed": ({"_odd_vectors": mixed}, "cover every point"),
+            "off_orbits": ({"_odd_vectors": off_orbits}, "constant on the x-orbits")}
 
 
 H263 = (85, 170, 103, 107)  # outside D at (263, 11), with an ok certificate
@@ -128,21 +137,20 @@ H263 = (85, 170, 103, 107)  # outside D at (263, 11), with an ok certificate
 
 @pytest.fixture(scope="module")
 def ctx263():
-    # n = 264 points: several blocks of ROWS_PER_BLOCK rows
+    # n = 264 points: the poked entry lies far below the first rows
     gens = make_generators(build_setup(PrimePower.from_q(263)), 11)
     return gens, build_orbits(gens)
 
 
-@pytest.mark.parametrize("fault", ["poked", "swapped"])
-def test_certificate_rejects_a_wrong_column_past_the_first_block(ctx263, fault, monkeypatch):
+@pytest.mark.parametrize("fault", ["poked", "mixed", "off_orbits"])
+def test_certificate_rejects_a_walked_column_fault(ctx263, fault, monkeypatch):
     gens, tab = ctx263
-    h = H263
-    assert spectral.exact_certificate(gens, tab, h, 3, 55).ok
-    psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
-    bad = _factorisation_faults(psi, phi)[fault]
-    monkeypatch.setattr(spectral, "row_displacement", lambda perm_x, perm_y: bad)
-    with pytest.raises(InvariantViolated, match="factor through"):
-        spectral.exact_certificate(gens, tab, h, 3, 55)
+    assert spectral.exact_certificate(gens, tab, H263, 3, 55).ok
+    patches, match = _column_faults(spectral)[fault]
+    for name, fn in patches.items():
+        monkeypatch.setattr(spectral, name, fn)
+    with pytest.raises(InvariantViolated, match=match):
+        spectral.exact_certificate(gens, tab, H263, 3, 55)
 
 
 def test_certificate_rejects_an_order_that_does_not_close(ctx13):
@@ -150,7 +158,7 @@ def test_certificate_rejects_an_order_that_does_not_close(ctx13):
     # permutation of finite order below n + 1 is refused
     perm_x = np.array([1, 2, 0, 0])  # maps 3 into the cycle, never back
     with pytest.raises(InvariantViolated, match="within 4 steps"):
-        spectral.row_displacement(perm_x, np.arange(4))
+        spectral.row_displacement(perm_x, np.arange(4), np.arange(4))
 
 
 def test_orbits_of_a_wrong_g_are_rejected(ctx13):
@@ -310,10 +318,8 @@ for layer, cross in ((signed(1, 1), signed(1, 0)), (signed(1, 0), signed(1, -1))
 """) == "True\nBalanceFamiliesDisagree\nTrue\nInvariantViolated"
 
 
-def test_factorisation_check_survives_python_O():
-    # a displacement built twice too large squares to zero but does not
-    # factor through the image vector
-    assert _rejected_under_python_O("""
+_CTX13 = """
+import numpy as np
 from psl2units import spectral
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
@@ -322,8 +328,15 @@ gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
 tab = build_orbits(gens)
 h = (1, 2, 1, 3)
 print(spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank)
+"""
+
+
+def test_factorisation_check_survives_python_O():
+    # a displacement built twice too large does not factor through the
+    # image vector
+    assert _rejected_under_python_O(_CTX13 + """
 true_rows = spectral.row_displacement
-spectral.row_displacement = lambda perm_x, perm_y: 2 * true_rows(perm_x, perm_y)
+spectral.row_displacement = lambda perm_x, perm_y, cols: 2 * true_rows(perm_x, perm_y, cols)
 try:
     spectral.exact_certificate(gens, tab, h, 2, 21)
 except InvariantViolated as exc:
@@ -332,49 +345,67 @@ except InvariantViolated as exc:
 
 
 def test_square_zero_check_survives_python_O():
-    # a displacement psi' phi^T whose image vector leaves the kernel
-    # hyperplane has two distinct columns and does not square to zero
-    assert _rejected_under_python_O("""
-import numpy as np
-from psl2units import spectral
-from psl2units.finite_fields import PrimePower, build_setup
-from psl2units.orbits import build_orbits
-from psl2units.projective import make_generators
-gens = make_generators(build_setup(PrimePower.from_q(13)), 7)
-tab = build_orbits(gens)
-h = (1, 2, 1, 3)
-print(spectral.exact_certificate(gens, tab, h, 2, 21).tau_rank)
+    # tau = psi' phi^T with the image vector psi' off the kernel hyperplane
+    # factors, but does not square to zero
+    assert _rejected_under_python_O(_CTX13 + """
 psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
 psi[0] += 1
-spectral.row_displacement = lambda perm_x, perm_y: np.outer(psi, phi)
+spectral._odd_vectors = lambda tab, perm_h: (psi, phi)
+spectral.row_displacement = lambda perm_x, perm_y, cols: np.outer(psi, phi[cols])
 try:
     spectral.exact_certificate(gens, tab, h, 2, 21)
 except InvariantViolated as exc:
-    print("square to zero" in str(exc))
+    print("kernel hyperplane" in str(exc))
 """) == "1\nTrue"
 
 
-def test_blocked_factorisation_check_survives_python_O():
-    # the two faults of test_certificate_rejects_a_wrong_column_past_the_first_block
+def test_rank_check_survives_python_O():
+    # a zero image vector and displacement pass every check but the rank
+    assert _rejected_under_python_O(_CTX13 + """
+psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
+spectral._odd_vectors = lambda tab, perm_h: (0 * psi, phi)
+spectral.row_displacement = lambda perm_x, perm_y, cols: np.zeros((len(psi), len(cols)), int)
+try:
+    spectral.exact_certificate(gens, tab, h, 2, 21)
+except InvariantViolated as exc:
+    print("rank 0, not 1" in str(exc))
+""") == "1\nTrue"
+
+
+def test_walked_column_checks_survive_python_O():
+    # the faults of test_certificate_rejects_a_walked_column_fault
     assert _rejected_under_python_O("""
 import numpy as np
 from psl2units import spectral
 from psl2units.finite_fields import PrimePower, build_setup
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
-""" + inspect.getsource(_factorisation_faults) + """
+""" + inspect.getsource(_column_faults) + """
 gens = make_generators(build_setup(PrimePower.from_q(263)), 11)
 tab = build_orbits(gens)
 h = """ + repr(H263) + """
 print(spectral.exact_certificate(gens, tab, h, 3, 55).ok)
-psi, phi = spectral._odd_vectors(tab, gens.group.perm_array(h))
-for bad in _factorisation_faults(psi, phi).values():
-    spectral.row_displacement = lambda perm_x, perm_y: bad
+for patches, match in _column_faults(spectral).values():
+    saved = {name: getattr(spectral, name) for name in patches}
+    vars(spectral).update(patches)
     try:
         spectral.exact_certificate(gens, tab, h, 3, 55)
     except InvariantViolated as exc:
-        print("factor through" in str(exc))
-""") == "True\nTrue\nTrue"
+        print(match in str(exc))
+    vars(spectral).update(saved)
+""") == "True\nTrue\nTrue\nTrue"
+
+
+def test_order_check_survives_python_O():
+    # the walk refuses an x that does not return to the identity
+    assert _rejected_under_python_O("""
+import numpy as np
+from psl2units import spectral
+try:
+    spectral.row_displacement(np.array([1, 2, 0, 0]), np.arange(4), np.arange(4))
+except InvariantViolated as exc:
+    print(exc)
+""") == "x does not return to the identity within 4 steps"
 
 
 def test_unit_matrix_guard_survives_python_O():

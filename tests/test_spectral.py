@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -21,7 +20,7 @@ from psl2units.errors import DimensionTooLarge, HInDihedralizer, InvalidSpec, In
 from psl2units.group_ring import GroupRingElement, bicyclic_right
 from psl2units.projective import INF
 from psl2units.spectral import (
-    check_displacement, eigen_data, exact_certificate,
+    eigen_data, exact_certificate,
     integer_rank, nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
     projection_coeffs, recipe_element, row_displacement, sigma_companion,
     unit_matrix, vanishes,
@@ -257,6 +256,11 @@ def _row(G, m):
     return np.array(G.perm_array(m))
 
 
+def _dense(perm_x, perm_y):
+    """row_displacement over every column: the whole n x n tau."""
+    return row_displacement(perm_x, perm_y, np.arange(len(perm_x)))
+
+
 def test_row_displacement_matches_group_ring_on_all_h_q13(ctx13):
     gens, _ = ctx13
     G = gens.group
@@ -265,7 +269,7 @@ def test_row_displacement_matches_group_ring_on_all_h_q13(ctx13):
     for h in G.enumerate_elements():
         if G.in_dihedralizer(h, gens.g):
             continue
-        assert np.array_equal(row_displacement(perm_g, _row(G, h)),
+        assert np.array_equal(_dense(perm_g, _row(G, h)),
                               nilpotent_part(G, paired_companion(gens, h)))
         count += 1
     assert count == 1078
@@ -279,7 +283,7 @@ def test_row_displacement_matches_group_ring_on_seeded_h(field):
     rng = random.Random(gens.q)
     for _ in range(5):
         h = random_outside_dihedralizer(gens, rng)
-        assert np.array_equal(row_displacement(perm_g, _row(G, h)),
+        assert np.array_equal(_dense(perm_g, _row(G, h)),
                               nilpotent_part(G, paired_companion(gens, h)))
 
 
@@ -287,7 +291,7 @@ def test_row_displacement_matches_group_ring_on_seeded_h(field):
 def test_row_displacement_matches_sigma_companion(field):
     gens, _ = cached_context(*field)
     G = gens.group
-    assert np.array_equal(row_displacement(_row(G, gens.sigma), _row(G, gens.g)),
+    assert np.array_equal(_dense(_row(G, gens.sigma), _row(G, gens.g)),
                           nilpotent_part(G, sigma_companion(gens)))
 
 
@@ -302,7 +306,7 @@ def test_row_displacement_is_the_group_ring_image(field, x_name, seed):
     G = gens.group
     x = getattr(gens, x_name)
     y = G.random_element(random.Random(seed))
-    assert np.array_equal(row_displacement(_row(G, x), _row(G, y)),
+    assert np.array_equal(_dense(_row(G, x), _row(G, y)),
                           nilpotent_part(G, bicyclic_right(G, x, y)))
 
 
@@ -325,7 +329,7 @@ def _walk_reference(perm_x, perm_y):
 
 def _walk_or_none(perm_x, perm_y):
     try:
-        return row_displacement(perm_x, perm_y)
+        return _dense(perm_x, perm_y)
     except InvariantViolated as exc:
         assert f"within {len(perm_x)} steps" in str(exc)
         return None
@@ -336,7 +340,7 @@ def test_row_displacement_walks_past_an_early_return_of_the_first_moved_point():
     # order 6, which the walk reaches within its n = 6 steps
     perm_x = np.array([1, 0, 3, 4, 2, 5])
     perm_y = np.array([3, 0, 5, 4, 1, 2])
-    tau = row_displacement(perm_x, perm_y)
+    tau = _dense(perm_x, perm_y)
     assert tau.any()
     assert np.array_equal(tau, _walk_reference(perm_x, perm_y))
 
@@ -362,53 +366,49 @@ def test_row_displacement_is_the_walk_over_whole_rows(perms):
     assert ref is None or np.array_equal(tau, ref)
 
 
-def square_is_nonzero(mat: np.ndarray) -> bool:
-    """bool((mat @ mat).any()) for a square integer matrix, the dense oracle
-    of check_displacement's square test: column j of mat @ mat is mat times
-    column j of mat, so mat is multiplied only by the first column of each
-    distinct kind (grouped by bytes)."""
-    first = {}
-    for j, col in enumerate(mat.T):
-        first.setdefault(col.tobytes(), j)
-    return bool((mat @ mat[:, list(first.values())]).any())
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx16", "ctx27"])
+def test_walked_columns_are_the_dense_columns(ctx, request):
+    # the certificate walks the columns of one point per value of phi; they
+    # are the dense tau's, whose columns are constant on the x-orbits
+    gens, tab = request.getfixturevalue(ctx)
+    G = gens.group
+    if gens.q % 2:
+        rng = random.Random(12)
+        hs = [random_outside_dihedralizer(gens, rng) for _ in range(5)]
+        cases = [(gens.g, h, *spectral._odd_vectors(tab, _row(G, h))) for h in hs]
+    else:
+        cases = [(gens.sigma, gens.g, *spectral._even_vectors(gens))]
+    for x, y, psi, phi in cases:
+        perm_x = _row(G, x)
+        tau = _dense(perm_x, _row(G, y))
+        assert np.array_equal(tau[:, perm_x], tau)
+        _, reps = np.unique(phi, return_index=True)
+        assert len(reps) == (2 if gens.q % 2 else 3)
+        walked = row_displacement(perm_x, _row(G, y), reps)
+        assert np.array_equal(walked, tau[:, reps])
+        assert np.array_equal(tau, np.outer(psi, phi))
 
 
-@st.composite
-def _displacements(draw):
-    """(tau, psi, phi) with phi of at most three distinct values, psi often
-    orthogonal to phi as in a certificate, and tau = psi' phi^T for psi' =
-    psi or psi changed in one entry, with at most two entries perturbed."""
-    n = draw(st.integers(1, 8))
-    values = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
-    phi = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
-    psi = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
-    units = np.flatnonzero(np.abs(phi) == 1)
-    if units.size and draw(st.booleans()):  # make phi . psi = 0
-        psi[units[-1]] -= phi[units[-1]] * (phi @ psi)
-    psi_prime = psi.copy()
-    if draw(st.booleans()):
-        psi_prime[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
-    tau = np.outer(psi_prime, phi)
-    for r, c, d in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                           st.integers(-2, 2)), max_size=2)):
-        tau[r, c] += d
-    return tau, psi, phi
+def _orbit_minima(perm_x):
+    """The smallest point of each point's x-orbit."""
+    least, cur = np.arange(len(perm_x)), perm_x
+    for _ in range(len(perm_x)):
+        least, cur = np.minimum(least, cur), perm_x[cur]
+    return least
 
 
-@settings(max_examples=500, deadline=None)
-@given(case=_displacements(), rows_per_block=st.integers(1, 3))
-def test_check_displacement_accepts_what_the_dense_products_accept(case, rows_per_block):
-    # the column-per-value square test and the blocked factorisation accept
-    # exactly the tau with tau^2 = 0 and tau = psi phi^T
-    tau, psi, phi = case
-    assert square_is_nonzero(tau) == bool((tau @ tau).any())
-    with mock.patch.object(spectral, "ROWS_PER_BLOCK", rows_per_block):
-        try:
-            check_displacement(tau, psi, phi)
-            accepted = True
-        except InvariantViolated:
-            accepted = False
-    assert accepted == (not square_is_nonzero(tau) and np.array_equal(tau, np.outer(psi, phi)))
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx16"])
+def test_row_displacement_refuses_columns_that_miss_an_x_orbit(ctx, request):
+    # one column on each x-orbit but the last, whose columns would go unchecked
+    gens, _ = request.getfixturevalue(ctx)
+    G = gens.group
+    x, y = (gens.g, gens.a) if gens.q % 2 else (gens.sigma, gens.g)
+    perm_x, perm_y = _row(G, x), _row(G, y)
+    reps = np.unique(_orbit_minima(perm_x))
+    assert len(reps) == (2 if gens.q % 2 else 3)
+    assert row_displacement(perm_x, perm_y, reps).shape == (G.n_points, len(reps))
+    with pytest.raises(InvariantViolated, match="cover every point"):
+        row_displacement(perm_x, perm_y, reps[:-1])
 
 
 def test_integer_rank_small_cases():
