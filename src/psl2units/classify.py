@@ -39,8 +39,8 @@ def multiplicative_order(l: int, p: int) -> int:
     l %= p
     if gcd(l, p) != 1:
         raise NotCoprime(f"{l} and {p} are not coprime")
-    s, cur = 1, l % p
-    while cur != 1:
+    s, cur = 1, l
+    while cur != 1 % p:
         cur = (cur * l) % p
         s += 1
     return s

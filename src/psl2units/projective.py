@@ -147,8 +147,8 @@ class PSL2:
         return s
 
     def has_order(self, m: Element, n: int) -> bool:
-        """True iff m has order exactly n in PSL(2,q), read off the trace t
-        of m in O(omega(n) log n) scalar field operations.
+        """True iff m has order exactly n in PSL(2,q) (never for n < 1), read
+        off the trace t of m in O(omega(n) log n) scalar field operations.
 
         If t = +-2, m is +-I (order 1) or a non-trivial unipotent, whose
         order is the characteristic l.  Otherwise the eigenvalues
@@ -161,6 +161,8 @@ class PSL2:
         prime s dividing n.  In characteristic 2, +-2 = 0 and the same
         argument holds.
         """
+        if n < 1:
+            return False
         fq = self.fq
         two = fq.add(1, 1)
         scalars = (two, fq.neg(two))
@@ -232,49 +234,36 @@ class PSL2:
 
     # -- three-point interpolation (even q only) --------------------------
 
-    def _to_standard_triple(self, x0: int, x1: int, x2: int) -> Element:
-        # matrix sending (x0, x1, x2) to (0, 1, INF); not normalized
-        fq = self.fq
-        if x0 == INF:
-            z1, z2 = x1 - 1, x2 - 1
-            return (0, fq.sub(z1, z2), 1, fq.neg(z2))
-        if x1 == INF:
-            z0, z2 = x0 - 1, x2 - 1
-            return (1, fq.neg(z0), 1, fq.neg(z2))
-        if x2 == INF:
-            z0, z1 = x0 - 1, x1 - 1
-            return (1, fq.neg(z0), 0, fq.sub(z1, z0))
-        z0, z1, z2 = x0 - 1, x1 - 1, x2 - 1
-        u = fq.sub(z1, z2)
-        v = fq.sub(z1, z0)
-        return (u, fq.neg(fq.mul(z0, u)), v, fq.neg(fq.mul(z2, v)))
-
     def three_point_map(self, x0, x1, x2, y0, y1, y2) -> Element:
-        """The unique element sending x_i to y_i (q even, points distinct)."""
+        """The unique element sending x_i to y_i (q even, points distinct).
+
+        With each point a column [x : 1] or [1 : 0] (infinity), the frame
+        F = (a P0 | b P2), a = det(P1, P2), b = det(P0, P1), sends [1 : 0],
+        [1 : 1] and [0 : 1] to P0, P1 and P2, since a P0 + b P2 =
+        det(P0, P2) P1 (Cramer).  F_y adj(F_x) sends x_i to y_i, and
+        det^(q/2) is the square root of its determinant in characteristic 2.
+        """
         if self.d_prime != 1:
             raise ValueError("the action is triply transitive only for even q")
         if len({x0, x1, x2}) != 3 or len({y0, y1, y2}) != 3:
             raise ValueError("points must be pairwise distinct")
         fq = self.fq
-        mx = self._to_standard_triple(x0, x1, x2)
-        my = self._to_standard_triple(y0, y1, y2)
-        a, b, c, d = my
-        det = fq.sub(fq.mul(a, d), fq.mul(b, c))
-        s = fq.inv(det)
-        my_inv = (fq.mul(d, s), fq.mul(fq.neg(b), s), fq.mul(fq.neg(c), s), fq.mul(a, s))
-        e, f, g, h = my_inv
-        a, b, c, d = mx
-        m = (
-            fq.add(fq.mul(e, a), fq.mul(f, c)),
-            fq.add(fq.mul(e, b), fq.mul(f, d)),
-            fq.add(fq.mul(g, a), fq.mul(h, c)),
-            fq.add(fq.mul(g, b), fq.mul(h, d)),
-        )
-        det = fq.sub(fq.mul(m[0], m[3]), fq.mul(m[1], m[2]))
-        # char 2: every element has the square root det^(q/2)
-        root = fq.pow(det, self.q // 2)
-        s = fq.inv(root)
-        out = self.normalize(tuple(fq.mul(e, s) for e in m))
+
+        def det(u, v):
+            return fq.sub(fq.mul(u[0], v[1]), fq.mul(u[1], v[0]))
+
+        def frame(*pts):
+            p0, p1, p2 = ((1, 0) if pt == INF else (pt - 1, 1) for pt in pts)
+            a, b = det(p1, p2), det(p0, p1)
+            return fq.mul(a, p0[0]), fq.mul(b, p2[0]), fq.mul(a, p0[1]), fq.mul(b, p2[1])
+
+        a, b, c, d = frame(y0, y1, y2)
+        e, f, g, h = frame(x0, x1, x2)
+        # F_y times adj(F_x) = (h, -f; -g, e)
+        m = (fq.sub(fq.mul(a, h), fq.mul(b, g)), fq.sub(fq.mul(b, e), fq.mul(a, f)),
+             fq.sub(fq.mul(c, h), fq.mul(d, g)), fq.sub(fq.mul(d, e), fq.mul(c, f)))
+        s = fq.inv(fq.pow(det(m[:2], m[2:]), self.q // 2))
+        out = self.normalize(tuple(fq.mul(v, s) for v in m))
         if (self.apply(out, x0), self.apply(out, x1), self.apply(out, x2)) != (y0, y1, y2):
             raise InvariantViolated(f"{out} does not send {(x0, x1, x2)} to {(y0, y1, y2)}")
         return out

@@ -15,9 +15,11 @@ dense oracle used to cross-check the exact verdict.
 
 The exact certificate reads everything from at most three permutation
 rows.  The displacement tau = rho(v - 1) of the candidate
-v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j, walked by
-``row_displacement`` from the rows of x and y alone, since the action is
-a homomorphism: (x, y) = (g, h) for odd q and (sigma, g) for even q.
+v = 1 + (1 - x) y xhat is (I - P_x) P_y sum_j P_x^j: (x, y) = (g, h) for
+odd q and (sigma, g) for even q.  Its column c sums
+e_(y x^j c) - e_(x y x^j c) over j below the order of x, since the
+action is a homomorphism, so ``row_displacement`` needs the rows of x
+and y and steps only the walked points x^j(c).
 The image vector psi and the kernel functional phi are numpy gathers
 from the row of h and the orbit table (g^-1 and the g-orbit labels).
 Read once along the h-images of the a-orbits through the table's
@@ -27,12 +29,13 @@ As xhat x = xhat, column c of tau equals column x(c), so tau is constant
 on the x-orbits, and so is phi, which is checked.  tau = psi phi^T then
 holds iff it holds on one column per x-orbit, and phi's values pick
 them: one point per value, whose x-orbits must cover every point (two
-orbits for odd q, three for even q).  Only those columns are walked, an
-n x 2 or n x 3 array.  Once tau = psi phi^T, tau^2 = (phi . psi) tau, so
-tau squares to zero iff phi . psi = 0, and its rank is 1 iff psi and phi
-are nonzero.  The group ring route (``nilpotent_part`` of
-``paired_companion`` or ``sigma_companion``, and ``integer_rank``) is the
-dense oracle's and the tests'.
+orbits for odd q, three for even q).  Only those columns are walked: two
+or three points a step for ord(x) steps, into an n x 2 or n x 3 array.
+Once tau = psi phi^T, tau^2 = (phi . psi) tau, so tau squares to zero
+iff phi . psi = 0, and its rank is 1 iff psi and phi are nonzero.  The
+group ring route (``nilpotent_part`` of ``paired_companion`` or
+``sigma_companion``, and ``integer_rank``) is the dense oracle's and the
+tests'.
 """
 
 from __future__ import annotations
@@ -93,27 +96,24 @@ def nilpotent_part(group: PSL2, v: GroupRingElement) -> np.ndarray:
 def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns cols of (I - P_x) P_y sum_j P_x^j, the image of (1 - x) y
     xhat, from the rows of x and y: column c gains e_(y x^j c) - e_(x y x^j c)
-    for every j below the order of x, found by walking x's row back to the
-    identity within n steps.  The whole row of x^j is compared with the
-    identity only when x^j fixes i0, the first point x moves; for g and
-    sigma, whose cycles through i0 have the full order of x, that is once.
-    Column c equals column x(c), so the columns decide the whole matrix
-    only if their x-orbits cover every point, which the walk checks."""
+    for every j below the order of x.  Only the walked points x^j(cols)
+    are stepped, until all of them are back at cols within n steps; their
+    first point is compared before the rest.  Column c equals column x(c),
+    so the columns decide the whole matrix only if their x-orbits cover
+    every point, which the walk checks; then the step that brings cols
+    back is the order of x.  cols must not be empty."""
     n = len(perm_x)
-    ident = np.arange(n)
-    i0 = int(np.argmax(perm_x != ident))  # 0 when x moves no point
     k = np.arange(len(cols))
     tau = np.zeros((n, len(cols)), dtype=np.int64)
     seen = np.zeros(n, dtype=bool)  # the x-orbits of cols walked so far
-    cur = ident  # the row of x^j
+    pts = cols  # x^j(cols)
     for _ in range(n):
-        pts = cur[cols]
         seen[pts] = True
         img = perm_y[pts]
         tau[img, k] += 1
         tau[perm_x[img], k] -= 1
-        cur = perm_x[cur]
-        if cur[i0] == i0 and np.array_equal(cur, ident):
+        pts = perm_x[pts]
+        if pts[0] == cols[0] and np.array_equal(pts, cols):
             if not seen.all():
                 raise InvariantViolated("the x-orbits of the walked columns must cover every point")
             return tau

@@ -11,6 +11,7 @@ exactly-once semantics.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from contextlib import ExitStack
@@ -229,6 +230,8 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
     """
     if samples < 1:
         raise ValueError(f"samples={samples} must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be at least 1")
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]
@@ -269,12 +272,14 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
                 progress(key, rec)
 
         task_args = [(q, p, samples, seed) for q, p in pending]
-        if jobs <= 1:
+        # a fork pool starts all its workers at the first submit
+        workers = min(jobs, len(task_args), os.cpu_count() or 1)
+        if workers <= 1:
             results = map(_run_task, task_args)
         else:
             # imported here: a serial sweep should not pay for the pool module
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_run_task, task_args, chunksize=1)
         # kept lines and new records interleave in canonical order
         for key in sorted(kept.keys() | set(pairs)):

@@ -13,6 +13,7 @@ def test_multiplicative_order():
     assert multiplicative_order(13, 7) == 2
     assert multiplicative_order(2, 17) == 8
     assert multiplicative_order(8, 7) == 1  # 8 = 1 mod 7
+    assert multiplicative_order(5, 1) == 1  # every l is 1 mod 1
     with pytest.raises(NotCoprime):
         multiplicative_order(14, 7)
 

@@ -263,6 +263,7 @@ def test_has_order_matches_element_order(l, r):
         expected = [order == n for n in divisors]
         assert [G.has_order(m, n) for n in divisors] == expected
         assert [_has_order_by_powers(G, m, n) for n in divisors] == expected
+        assert not G.has_order(m, 0) and not G.has_order(m, -order)
 
 
 @pytest.mark.parametrize("q", [729, 997, 1024])

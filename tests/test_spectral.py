@@ -311,8 +311,9 @@ def test_row_displacement_is_the_group_ring_image(field, x_name, seed):
 
 
 def _walk_reference(perm_x, perm_y):
-    """row_displacement as it was before its walk tested the first moved
-    point: the whole row of x^j is compared with the identity every step."""
+    """The dense tau by the plainest walk: the whole row of x^j is stepped
+    and compared with the identity every step, where row_displacement
+    steps only the walked points."""
     n = len(perm_x)
     cols = np.arange(n)
     tau = np.zeros((n, n), dtype=np.int64)
@@ -336,8 +337,9 @@ def _walk_or_none(perm_x, perm_y):
 
 
 def test_row_displacement_walks_past_an_early_return_of_the_first_moved_point():
-    # x = (0 1)(2 3 4)(5): x^2 fixes 0, the first point x moves, but x has
-    # order 6, which the walk reaches within its n = 6 steps
+    # x = (0 1)(2 3 4)(5): x^2 brings back 0, the first walked point, whose
+    # return is tested before the rest, but x has order 6, which the walk
+    # reaches within its n = 6 steps
     perm_x = np.array([1, 0, 3, 4, 2, 5])
     perm_y = np.array([3, 0, 5, 4, 1, 2])
     tau = _dense(perm_x, perm_y)
@@ -347,23 +349,41 @@ def test_row_displacement_walks_past_an_early_return_of_the_first_moved_point():
 
 @st.composite
 def _permutation_pairs(draw):
-    """Rows of x and y on up to 9 points; x leaves a drawn set of points fixed."""
+    """Rows of x and y on up to 9 points; x leaves a drawn set of points
+    fixed, and either row may instead be any map of the points to
+    themselves, mostly not a bijection."""
     n = draw(st.integers(1, 9))
     fixed = draw(st.sets(st.integers(0, n - 1)))
     moved = [i for i in range(n) if i not in fixed]
     perm_x = np.arange(n)
     perm_x[moved] = draw(st.permutations(moved))
-    return perm_x, np.array(draw(st.permutations(range(n))))
+    perm_y = np.array(draw(st.permutations(range(n))))
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        perm_x = np.array(draw(maps))
+    if draw(st.booleans()):
+        perm_y = np.array(draw(maps))
+    return perm_x, perm_y
 
 
 @settings(max_examples=300, deadline=None)
 @given(perms=_permutation_pairs())
 def test_row_displacement_is_the_walk_over_whole_rows(perms):
-    # an x of order above n (on 5 or more points) is refused by both
+    # an x of order above n (on 5 or more points), or no bijection, is
+    # refused by both; so is the walk of one column per x-orbit, with
+    # either message, which otherwise gives those columns of the reference
     perm_x, perm_y = perms
     tau, ref = _walk_or_none(perm_x, perm_y), _walk_reference(perm_x, perm_y)
     assert (tau is None) == (ref is None)
     assert ref is None or np.array_equal(tau, ref)
+    reps = np.unique(_orbit_minima(perm_x))
+    try:
+        walked = row_displacement(perm_x, perm_y, reps)
+    except InvariantViolated as exc:
+        assert ref is None
+        assert "cover every point" in str(exc) or f"within {len(perm_x)} steps" in str(exc)
+    else:
+        assert ref is not None and np.array_equal(walked, ref[:, reps])
 
 
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx16", "ctx27"])

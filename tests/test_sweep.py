@@ -166,6 +166,53 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("q_max,jobs,cpus,workers", [
+    (60, 10 ** 6, 4, 4),      # bounded by the CPUs
+    (60, 10 ** 6, 64, 6),     # by the 6 pending pairs
+    (60, 3, 64, 3),           # by jobs
+    (60, 10 ** 6, 1, None),   # one CPU: serial
+    (60, 10 ** 6, None, None),  # an unknown CPU count counts as one
+    (13, 8, 8, None),         # one pending pair: serial
+], ids=["cpus", "pairs", "jobs", "one-cpu", "unknown-cpus", "one-pair"])
+def test_run_sweep_pool_size(tmp_path, monkeypatch, q_max, jobs, cpus, workers):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker is started whatever jobs asks for
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    serial = tmp_path / "serial.jsonl"
+    run_sweep(7, q_max, samples=50, seed=3, jobs=1, out_path=serial)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / "pooled.jsonl"
+    run_sweep(7, q_max, samples=50, seed=3, jobs=jobs, out_path=out)
+    assert made == ([] if workers is None else [workers])
+
+    def strip(path):
+        return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+                for line in path.read_text().splitlines()]
+
+    assert strip(out) == strip(serial)
+    # a resumed sweep with nothing pending starts no pool
+    made.clear()
+    run_sweep(7, q_max, samples=50, seed=3, jobs=jobs, out_path=out, resume=True)
+    assert made == [] and strip(out) == strip(serial)
+
+
 def test_run_sweep_resume(tmp_path):
     out = tmp_path / "full.jsonl"
     summary = run_sweep(7, 150, samples=50, seed=4, jobs=1, out_path=out)
@@ -335,9 +382,12 @@ def test_cli_spectral_bad_matrix(capsys):
     (["check", "--q", "27", "--p", "7", "--samples", "-3"], "samples=-3 must be at least 1"),
     (["sweep", "--q-min", "7", "--q-max", "30", "--samples", "0"],
      "samples=0 must be at least 1"),
+    (["sweep", "--q-min", "7", "--q-max", "30", "--jobs", "0"], "jobs=0 must be at least 1"),
+    (["sweep", "--q-min", "7", "--q-max", "30", "--jobs", "-2"], "jobs=-2 must be at least 1"),
 ], ids=["spectral-q-not-prime-power", "spectral-p-not-dividing", "spectral-bad-k",
         "spectral-m-zero", "spectral-m-negative", "classify-q-not-prime-power",
-        "check-samples-zero", "check-samples-negative", "sweep-samples-zero"])
+        "check-samples-zero", "check-samples-negative", "sweep-samples-zero",
+        "sweep-jobs-zero", "sweep-jobs-negative"])
 def test_cli_bad_input_is_a_typed_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # where a sweep would write its default --out
     assert main(argv) == 2
