@@ -12,8 +12,10 @@ enumeration, so everything derived downstream (generators, orbits, sweep
 records) is reproducible bit for bit.  The modulus of F_q over its prime
 field is the first monic irreducible of degree r, low coefficients
 compared first, found by trial division by every monic polynomial of
-degree at most r/2; for r >= 2 the generator of F_q* is the first
-encoding of order q - 1, found by the numpy walk that fills its powers.
+degree at most r/2.  The generator of F_q* is the first encoding of
+order q - 1 and is found once per field: for r >= 2 by the numpy walk
+that fills its powers, for r = 1 by a scan of orders and then laid out in
+powers, from which the inverse table is read.  It is beta of the set-up.
 F_{q^2} is a degree-2 extension of F_q (X^2 - c with c the first
 non-square for odd q, X^2 + X + c with c the first element of absolute
 trace 1 for even q), which keeps Frobenius, norm and trace one-line
@@ -200,6 +202,7 @@ class Field:
     """Shared surface of the field classes; subclasses own the arithmetic."""
 
     q: int
+    generator: int                       # the first encoding of order q - 1
 
     def elements(self):
         return range(self.q)
@@ -230,21 +233,23 @@ class Field:
 
 
 class PrimeField(Field):
-    """F_l for prime l; elements are the residues 0..l-1."""
+    """F_l for prime l; elements are the residues 0..l-1.  The powers of
+    ``generator`` (``first_primitive``) are laid out by doubling blocks,
+    powers[k:2k] = powers[:k] g^k, and inv[g^k] = g^-k is read off them."""
 
     def __init__(self, l: int):
         self.l = l
         self.r = 1
         self.q = l
         self.modulus = (0,)
-        # the table of x^(l-2), by squaring: x^-1 for x != 0
-        x, inv, e = np.arange(l, dtype=np.int64), np.ones(l, dtype=np.int64), l - 2
-        while e:
-            if e & 1:
-                inv = inv * x % l
-            x = x * x % l
-            e >>= 1
-        self._inv_array = inv
+        self.generator = step = self.first_primitive()
+        powers, k = np.ones(l - 1, dtype=np.int64), 1
+        while k < l - 1:                 # step = g^k
+            m = min(k, l - 1 - k)
+            powers[k:k + m] = powers[:m] * step % l
+            step, k = step * step % l, k + m
+        self._inv_array = np.zeros(l, dtype=np.int64)
+        self._inv_array[powers] = powers[-np.arange(l - 1)]
 
     def add(self, x, y):
         return (x + y) % self.l
@@ -297,10 +302,10 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """F_{l^r} for r >= 2, with exp/log (Zech) tables for O(1) arithmetic.
 
-    With n = q - 1 and g the first candidate whose ``_power_encodings``
-    walk runs to the end, log(0) is the sentinel 2n and the tables are laid
-    out so that zero operands need no test: ``exp`` repeats the n powers of
-    g twice and then reads 0 from index 2n on, and x + y is
+    With n = q - 1 and g = ``generator`` the first candidate whose
+    ``_power_encodings`` walk runs to the end, log(0) is the sentinel 2n
+    and the tables are laid out so that zero operands need no test: ``exp``
+    repeats the n powers of g twice, reads 0 from index 2n on, and x + y is
     exp[log x + zech[log y - log x + 2n]], where zech reads log(1 + g^k)
     at offsets n..3n-1, log(y) - 2n below them (0 + y = y) and 0 above
     them (x + 0 = x).  The scalar methods index the lists, the array
@@ -322,6 +327,7 @@ class ExtensionField(Field):
         exp = next((e for e in walks if e is not None), None)
         if exp is None:
             raise InvariantViolated(f"q={q}: no encoding generates F_q*")
+        self.generator = int(exp[1])
         log = np.full(q, 2 * n, dtype=np.int32)
         log[exp] = np.arange(n)
         # zech shares log's int objects and neg and inv share exp's (3q fewer
@@ -586,6 +592,7 @@ def build_setup(pp: PrimePower) -> FieldSetup:
     (``QuadraticExtension.ratio_trace`` and ``generates_norm_one``), an
     exact test of the same predicate, so alpha = xi^q / xi is the one a
     scan by scalar powers picks; only the winner is built, and t = s.
+    beta is the field's ``generator``.
     """
     fq = make_field(pp.l, pp.r)
     fq2 = QuadraticExtension(fq)
@@ -604,5 +611,4 @@ def build_setup(pp: PrimePower) -> FieldSetup:
     if t in (0, 1, fq.neg(1)):
         # only happens for q + 1 < 8 (alpha would satisfy X^6 = 1)
         raise ValueError(f"q={q}: trace of alpha degenerate (q+1 >= 8 required)")
-    beta = fq.first_primitive()
-    return FieldSetup(pp=pp, fq=fq, fq2=fq2, alpha=alpha, t=t, beta=beta)
+    return FieldSetup(pp=pp, fq=fq, fq2=fq2, alpha=alpha, t=t, beta=fq.generator)

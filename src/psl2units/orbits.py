@@ -8,7 +8,8 @@ a-orbits laid end to end in ``order_idx``, p points each.  ``rows``
 reads values along them as (..., orbit, power).  The a-orbits come
 g-orbit by g-orbit, the one through g^j(start) j-th, and each is in
 a-power order from its minimal point z: a^b(z) sits at power b, which
-``build_orbits`` checks against a's own row.
+``build_orbits`` checks against a's own row.  It walks each g-orbit by
+doubling, with no per-point Python step.
 """
 
 from __future__ import annotations
@@ -35,21 +36,32 @@ class OrbitTable:
 
 
 def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
+    """The orbit table of ``gens``.  Once a walk holds g^j(start) for
+    j < m = 2^k, the row of g^(2^k) maps them onto j = m..2m-1; the int32
+    rows, each the last composed with itself, are built once for all the
+    walks, so a walk takes O(log(p d)) gathers.  Broken orbits raise
+    ``InvariantViolated``."""
     q = gens.q
     p, d, d_prime = gens.p, gens.d, gens.d_prime
-    perm_g = gens.group.perm_array(gens.g).tolist()  # walked one point at a time
     n = q + 1
     orbit_len = p * d
+    steps = [gens.group.perm_array(gens.g).astype(np.int32)]  # int32 halves the rows
 
     # walk g from the first point not yet seen (INF comes first)
-    walks: list[list[int]] = []
+    walks: list[np.ndarray] = []
     seen = np.zeros(n, dtype=bool)
     while not seen.all() and len(walks) <= d_prime:
         start = int(seen.argmin())
-        walk = [start]
-        for _ in range(orbit_len - 1):
-            walk.append(perm_g[walk[-1]])
-        if perm_g[walk[-1]] != start:
+        walk = np.empty(orbit_len, dtype=np.int64)
+        walk[0] = start
+        filled, k = 1, 0
+        while filled < orbit_len:
+            if k == len(steps):
+                steps.append(steps[-1][steps[-1]])
+            m = min(filled, orbit_len - filled)
+            walk[filled:filled + m] = steps[k][walk[:m]]
+            filled, k = filled + m, k + 1
+        if steps[0][walk[-1]] != start:
             raise InvariantViolated(f"q={q}: g-orbit through {start} is not of length {orbit_len}")
         seen[walk] = True
         walks.append(walk)
@@ -58,8 +70,7 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
 
     # walk[b d + j] = a^b(g^j(start)): the a-orbit through g^j(start) is
     # row j of the transposed (p, d) block, rotated to its minimal point
-    rows = np.array(walks, dtype=np.int64).reshape(d_prime, p, d).transpose(0, 2, 1)
-    rows = rows.reshape(-1, p)
+    rows = np.stack(walks).reshape(d_prime, p, d).transpose(0, 2, 1).reshape(-1, p)
     shift = rows.argmin(axis=1)[:, None]
     rows = np.take_along_axis(rows, (shift + np.arange(p)) % p, axis=1)
     if (np.bincount(rows.reshape(-1), minlength=n) != 1).any():
@@ -71,5 +82,5 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     glabel = np.empty(n, dtype=np.int8)
     glabel[order_idx] = 1 + np.arange(n) // orbit_len
     perm_g_inv = np.empty(n, dtype=np.int64)
-    perm_g_inv[perm_g] = np.arange(n)
+    perm_g_inv[steps[0]] = np.arange(n)
     return OrbitTable(gens=gens, perm_g_inv=perm_g_inv, glabel=glabel, order_idx=order_idx)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from psl2units.errors import NotPrime, ZeroElement
 from psl2units.finite_fields import (
-    ExtensionField, PrimePower, QuadraticExtension, _smallest_modulus, build_setup, factorize,
-    is_prime, make_field, prime_power_decomposition,
+    ExtensionField, PrimeField, PrimePower, QuadraticExtension, _smallest_modulus, build_setup,
+    factorize, is_prime, make_field, prime_power_decomposition,
 )
 
 
@@ -77,6 +77,45 @@ def test_extension_tables_pinned_below_ten_thousand():
         digest.update(json.dumps([fq.l, fq.r, list(fq.modulus), fq.exp, fq.log, fq.zech,
                                   fq.neg_table, fq.inv_table]).encode())
     assert digest.hexdigest() == TABLES_SHA256
+
+
+def _inverses_by_squaring(l):
+    # the table of x^(l-2) by repeated squaring over all residues, the
+    # route PrimeField took before it read inverses off its generator's powers
+    x, inv, e = np.arange(l, dtype=np.int64), np.ones(l, dtype=np.int64), l - 2
+    while e:
+        if e & 1:
+            inv = inv * x % l
+        x = x * x % l
+        e >>= 1
+    return inv
+
+
+@pytest.mark.parametrize("primes", [[l for l in range(2, 2000) if is_prime(l)], [9973, 99991]],
+                         ids=["below-2000", "9973-99991"])
+def test_prime_field_inverse_table(primes):
+    for l in primes:
+        inv = PrimeField(l)._inv_array
+        assert inv.dtype == np.int64 and len(inv) == l
+        assert np.array_equal(inv[1:], _inverses_by_squaring(l)[1:]), l
+        assert inv[1:].tolist() == [pow(x, -1, l) for x in range(1, l)], l
+
+
+def test_field_generator_is_first_primitive():
+    # every prime and every extension field below 10^4; for the primes the
+    # scan tests orders with Python's pow, apart from element_order
+    primes = [l for l in range(2, 10 ** 4) if is_prime(l)]
+    assert len(primes) == 1229
+    for l in primes:
+        want = next(x for x in range(1, l)
+                    if all(pow(x, (l - 1) // s, l) != 1 for s in factorize(l - 1)))
+        fq = PrimeField(l)
+        assert fq.generator == fq.first_primitive() == want, l
+    fields = [pp for pp in _prime_powers(4, 10 ** 4) if pp.r > 1]
+    assert len(fields) == 51
+    for pp in fields:
+        fq = ExtensionField(pp.l, pp.r)
+        assert fq.generator == fq.first_primitive() == fq.exp[1], pp.q
 
 
 def _monic_products(l, r):

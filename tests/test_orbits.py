@@ -154,44 +154,31 @@ def test_orbit_exchange_outside_dihedralizer(ctx13, ctx25, ctx27, ctx37):
                         assert moved not in img
 
 
-def _orbits_by_doubling(gens):
-    """The orbit table with each g-orbit walked by doubling, an independent
-    route for ``build_orbits``' point-by-point walk, with the same checks
-    and messages: (perm_g_inv, glabel, order_idx).
-
-    Once the walk holds start, g(start), ..., g^(2^k - 1)(start), the row
-    of g^(2^k) maps those entries onto the next 2^k.  The rows, each the
-    previous row composed with itself, are built once and reused by the
-    second walk: O(n log n) gathers and no per-point Python step.  It is
-    to replace the point walk once perfbench stops keeping every round's
-    records (ROADMAP, item 1).
-    """
+def _orbits_point_by_point(gens):
+    """The orbit table with each g-orbit walked one point at a time, an
+    independent route for ``build_orbits``' doubling walk, with the same
+    checks and messages: (perm_g_inv, glabel, order_idx).  It was
+    ``build_orbits`` until the doubling walk replaced it."""
     q = gens.q
     p, d, d_prime = gens.p, gens.d, gens.d_prime
+    perm_g = gens.group.perm_array(gens.g).tolist()
     n = q + 1
     orbit_len = p * d
-    # int32 halves the log2(p d) rows of n points
-    steps = [gens.group.perm_array(gens.g).astype(np.int32)]
     walks = []
     seen = np.zeros(n, dtype=bool)
     while not seen.all() and len(walks) <= d_prime:
         start = int(seen.argmin())
-        walk = np.empty(orbit_len, dtype=np.int64)
-        walk[0] = start
-        filled, k = 1, 0
-        while filled < orbit_len:
-            if k == len(steps):
-                steps.append(steps[-1][steps[-1]])
-            m = min(filled, orbit_len - filled)
-            walk[filled:filled + m] = steps[k][walk[:m]]
-            filled, k = filled + m, k + 1
-        if steps[0][walk[-1]] != start:
+        walk = [start]
+        for _ in range(orbit_len - 1):
+            walk.append(perm_g[walk[-1]])
+        if perm_g[walk[-1]] != start:
             raise InvariantViolated(f"q={q}: g-orbit through {start} is not of length {orbit_len}")
         seen[walk] = True
         walks.append(walk)
     if len(walks) != d_prime:
         raise InvariantViolated(f"q={q}: g has {len(walks)} orbits, expected {d_prime}")
-    rows = np.stack(walks).reshape(d_prime, p, d).transpose(0, 2, 1).reshape(-1, p)
+    rows = np.array(walks, dtype=np.int64).reshape(d_prime, p, d).transpose(0, 2, 1)
+    rows = rows.reshape(-1, p)
     shift = rows.argmin(axis=1)[:, None]
     rows = np.take_along_axis(rows, (shift + np.arange(p)) % p, axis=1)
     if (np.bincount(rows.reshape(-1), minlength=n) != 1).any():
@@ -202,13 +189,17 @@ def _orbits_by_doubling(gens):
     glabel = np.empty(n, dtype=np.int8)
     glabel[order_idx] = 1 + np.arange(n) // orbit_len
     perm_g_inv = np.empty(n, dtype=np.int64)
-    perm_g_inv[steps[0]] = np.arange(n)
+    perm_g_inv[perm_g] = np.arange(n)
     return perm_g_inv, glabel, order_idx
 
 
-# every odd prime p dividing (q + 1)/d'; q = 7 has none
+# every odd prime p dividing (q + 1)/d'; q = 7 has none.  Then the two
+# largest odd q = l^r, r >= 2, below 10^5 (313^2 and 5^7) and the even
+# q = 2^16 and 2^17, whose int32 step rows and int64 field products must
+# hold for sweeps and certificates up there
 _WALK_PAIRS = [(q, p) for q in (7, 8, 13, 16, 27, 32, 125, 997, 1024)
-               for p in factorize((q + 1) // (1 + q % 2)) if p > 2]
+               for p in factorize((q + 1) // (1 + q % 2)) if p > 2] \
+    + [(97969, 97), (78125, 29), (65536, 65537), (131072, 43691)]
 
 
 @pytest.mark.parametrize("q,p", _WALK_PAIRS)
@@ -216,7 +207,7 @@ def test_doubling_walk_matches_point_by_point(q, p):
     gens = make_generators(build_setup(PrimePower.from_q(q)), p)
     tab = build_orbits(gens)
     for want, got in zip((tab.perm_g_inv, tab.glabel, tab.order_idx),
-                         _orbits_by_doubling(gens)):
+                         _orbits_point_by_point(gens)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -234,4 +225,4 @@ def test_doubling_walk_rejects_what_the_point_walk_rejects(ctx13, ctx25):
             with pytest.raises(InvariantViolated) as want:
                 build_orbits(bad)
             with pytest.raises(InvariantViolated, match=f"^{want.value}$"):
-                _orbits_by_doubling(bad)
+                _orbits_point_by_point(bad)

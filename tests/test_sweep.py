@@ -502,3 +502,19 @@ def test_run_sweep_full_range_pinned(tmp_path):
     digests = [record_from_json(json.loads(line)).digest()
                for line in out.read_text().splitlines()]
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_7_9999_SHA256
+
+
+# the same digest over run_sweep(99701, 99999, samples=200, seed=1): the 48
+# pairs of the last 28 q below 10^5, all prime, where the orbit tables and
+# the prime-field inverse tables are largest; computed with g's orbits
+# walked point by point and the inverses found by repeated squaring
+SWEEP_99701_99999_SHA256 = "01bd2beb6d9668b600aacb6a8f8c2095f36a130f0d637828c672189c2586eb46"
+
+
+def test_run_sweep_near_ten_to_the_fifth_pinned(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    summary = run_sweep(99701, 99999, samples=200, seed=1, jobs=1, out_path=out)
+    assert (summary.pairs, summary.satisfied) == (48, 48)
+    digests = [record_from_json(json.loads(line)).digest()
+               for line in out.read_text().splitlines()]
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_99701_99999_SHA256
