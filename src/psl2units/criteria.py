@@ -172,6 +172,8 @@ def search_companion(gens: CanonicalGenerators, tab: OrbitTable, rng,
 
     Draws that land inside D are rejected without consuming a try.
     """
+    if gens.q % 2 == 0:
+        raise ValueError("the criteria are defined for odd q")
     group = gens.group
     tries = 0
     while tries < max_tries:
@@ -179,7 +181,8 @@ def search_companion(gens: CanonicalGenerators, tab: OrbitTable, rng,
         while group.in_dihedralizer(h, gens.g):
             h = group.random_element(rng)
         tries += 1
-        differs, _, _ = companion_condition(gens, tab, h)
+        # h lies outside D by the loop above, so the row needs no more checks
+        differs, _, _ = orbit_sums(*orbit_layers(tab, group.perm_array(h)))
         if differs:
             return SearchResult(h=h, tries=tries)
     return SearchResult(h=None, tries=tries)

@@ -232,6 +232,8 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
         raise ValueError(f"samples={samples} must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs={jobs} must be at least 1")
+    if q_min > q_max:  # refused before --out or its journal is touched
+        raise ValueError(f"q_min={q_min} is above q_max={q_max}")
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]

@@ -239,7 +239,8 @@ except InvariantViolated as exc:
 
 def test_orbit_checks_survive_python_O():
     # a g of the wrong order is refused, and so is an a with the orbits of
-    # the true a but the wrong step along them (a^2 or a^-1)
+    # the true a but the wrong step along them (a^2 or a^-1); then every
+    # wrong power a^k, k = 2..p-1, at q = 13, 25 and 27 (21 of them)
     assert _rejected_under_python_O("""
 import dataclasses
 from psl2units.finite_fields import PrimePower, build_setup
@@ -253,7 +254,14 @@ for name, wrong in (("g", gens.sigma), ("a", G.power(gens.a, 2)), ("a", G.invers
         build_orbits(dataclasses.replace(gens, **{name: wrong}))
     except InvariantViolated as exc:
         print("step" in str(exc))
-""") == "False\nTrue\nTrue"
+for q, p in ((13, 7), (25, 13), (27, 7)):
+    gens = make_generators(build_setup(PrimePower.from_q(q)), p)
+    for k in range(2, p):
+        try:
+            build_orbits(dataclasses.replace(gens, a=gens.group.power(gens.a, k)))
+        except InvariantViolated as exc:
+            print("step" in str(exc))
+""") == "False\nTrue\nTrue" + "\nTrue" * 21
 
 
 def test_double_coset_check_survives_python_O():

@@ -9,6 +9,7 @@ from psl2units.finite_fields import PrimePower, QuadraticExtension, build_setup,
     factorize, make_field, FieldSetup
 from psl2units.orbits import build_orbits
 from psl2units.projective import INF, make_generators
+from psl2units.sweep import admissible_primes, odd_prime_powers
 
 from bitmask_oracle import conj_pow, image_points, intersect_count, mask_of, orbit_lists, \
     points_of
@@ -226,3 +227,20 @@ def test_doubling_walk_rejects_what_the_point_walk_rejects(ctx13, ctx25):
                 build_orbits(bad)
             with pytest.raises(InvariantViolated, match=f"^{want.value}$"):
                 _orbits_point_by_point(bad)
+
+
+def test_glabel_is_the_square_class_of_the_norm_form():
+    # g = (0, -1; 1, t) keeps x^2 + t x y + y^2, so the g-orbit of infinity
+    # is infinity and the [x : 1] where x^2 + t x + 1 is a square, read here
+    # off the image of x -> x^2; every other point lies on the second orbit
+    for pp in odd_prime_powers(7, 1999):
+        primes = admissible_primes(pp.q)
+        if not primes:
+            continue
+        setup = build_setup(pp)
+        fq, x = setup.fq, np.arange(pp.q, dtype=np.int64)
+        form = fq.add_array(fq.mul_array(x, fq.add_array(x, setup.t)), 1)
+        squares = np.isin(form, fq.mul_array(x, x))
+        want = [1] + np.where(squares, 1, 2).tolist()
+        for p in primes:
+            assert build_orbits(make_generators(setup, p)).glabel.tolist() == want, (pp.q, p)

@@ -166,6 +166,20 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_run_sweep_reversed_range_keeps_existing_output(tmp_path):
+    # a reversed range is refused before the output or its journal is
+    # opened; an ordered range without odd prime powers is a 0/0 success
+    out = tmp_path / "keep.jsonl"
+    run_sweep(7, 30, samples=50, seed=1, out_path=out)
+    kept = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for resume in (False, True):
+        with pytest.raises(ValueError, match="q_min=2000 is above q_max=7"):
+            run_sweep(2000, 7, out_path=out, resume=resume)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == kept
+    summary = run_sweep(8, 8, out_path=tmp_path / "empty.jsonl")
+    assert (summary.pairs, summary.satisfied, summary.all_satisfied) == (0, 0, True)
+
+
 @pytest.mark.parametrize("q_max,jobs,cpus,workers", [
     (60, 10 ** 6, 4, 4),      # bounded by the CPUs
     (60, 10 ** 6, 64, 6),     # by the 6 pending pairs
@@ -384,10 +398,11 @@ def test_cli_spectral_bad_matrix(capsys):
      "samples=0 must be at least 1"),
     (["sweep", "--q-min", "7", "--q-max", "30", "--jobs", "0"], "jobs=0 must be at least 1"),
     (["sweep", "--q-min", "7", "--q-max", "30", "--jobs", "-2"], "jobs=-2 must be at least 1"),
+    (["sweep", "--q-min", "2000", "--q-max", "7"], "q_min=2000 is above q_max=7"),
 ], ids=["spectral-q-not-prime-power", "spectral-p-not-dividing", "spectral-bad-k",
         "spectral-m-zero", "spectral-m-negative", "classify-q-not-prime-power",
         "check-samples-zero", "check-samples-negative", "sweep-samples-zero",
-        "sweep-jobs-zero", "sweep-jobs-negative"])
+        "sweep-jobs-zero", "sweep-jobs-negative", "sweep-range-reversed"])
 def test_cli_bad_input_is_a_typed_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # where a sweep would write its default --out
     assert main(argv) == 2
