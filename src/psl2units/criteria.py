@@ -106,30 +106,17 @@ def verdicts(layer: np.ndarray, cross: np.ndarray):
     return differs, lhs, rhs, unbalanced
 
 
-def _perm_row(gens: CanonicalGenerators, h: Element) -> np.ndarray:
-    """The row h(x) of one h, after the checks every verdict needs."""
+def _require_odd_q(gens: CanonicalGenerators) -> None:
     if gens.q % 2 == 0:
         raise ValueError("the criteria are defined for odd q")
+
+
+def _perm_row(gens: CanonicalGenerators, h: Element) -> np.ndarray:
+    """The row h(x) of one h, after the checks every verdict needs."""
+    _require_odd_q(gens)
     if gens.group.in_dihedralizer(h, gens.g):
         raise HInDihedralizer("h normalizes <g>; the companion unit is trivial")
     return gens.group.perm_array(h)
-
-
-def companion_condition(gens: CanonicalGenerators, tab: OrbitTable,
-                        h: Element) -> tuple[bool, int, int]:
-    """The weighted orbit-sum inequality for one h.
-
-    lhs = sum_j |h(O_0j) n O_0| * |O_0j n g^h(O_1)|
-    rhs = sum_j |h(O_1j) n O_0| * |O_1j n g^h(O_0)|
-    with g^h = h^-1 g h; returns (lhs != rhs, lhs, rhs).
-
-    lhs and rhs are the sums over all shifts b of m[b][0][0][1] and
-    m[b][0][1][0], so lhs != rhs forces an unbalanced shift: the condition
-    is sufficient for the exact certificate but not necessary.  At q = 27,
-    p = 7, 8624 of the 9800 h in G - D meet it while 9408 are certified.
-    """
-    differs, lhs, rhs = orbit_sums(*orbit_layers(tab, _perm_row(gens, h)))
-    return bool(differs), int(lhs), int(rhs)
 
 
 @dataclass
@@ -147,6 +134,16 @@ class CriterionReport:
 
 def criterion_report(gens: CanonicalGenerators, tab: OrbitTable,
                      h: Element) -> CriterionReport:
+    """Both verdicts for one h.  The orbit-sum condition compares
+
+    lhs = sum_j |h(O_0j) n O_0| * |O_0j n g^h(O_1)|
+    rhs = sum_j |h(O_1j) n O_0| * |O_1j n g^h(O_0)|
+
+    with g^h = h^-1 g h, the sums over all shifts b of m[b][0][0][1] and
+    m[b][0][1][0]; lhs != rhs forces an unbalanced shift, so it is
+    sufficient for the exact certificate but not necessary.  At q = 27,
+    p = 7, 8624 of the 9800 h in G - D meet it while 9408 are certified.
+    """
     layers = orbit_layers(tab, _perm_row(gens, h))
     differs, lhs, rhs = orbit_sums(*layers)
     sums = tuple(shift_sums(*layers).tolist())
@@ -172,8 +169,7 @@ def search_companion(gens: CanonicalGenerators, tab: OrbitTable, rng,
 
     Draws that land inside D are rejected without consuming a try.
     """
-    if gens.q % 2 == 0:
-        raise ValueError("the criteria are defined for odd q")
+    _require_odd_q(gens)
     group = gens.group
     tries = 0
     while tries < max_tries:

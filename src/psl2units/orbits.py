@@ -10,13 +10,12 @@ g-orbit by g-orbit, the one through g^j(start) j-th, and each is in
 a-power order from its minimal point z: a^b(z) sits at power b.
 
 ``build_orbits`` walks the g-orbits by doubling, with no per-point Python
-step, and for odd q both in one pass: g = (0, -1; 1, t) keeps the norm
-form x^2 + t x y + y^2, so the orbit of infinity is the points where the
-form is a nonzero square, and the second walk starts at the first [x : 1]
-where x^2 + t x + 1 is not.  Each step of each walk is checked against
-g's row, so the a-orbit rows are the orbits of g^d in its power order;
-that a is g^d is then checked on three points, which decides it, since
-two distinct elements of PGL(2, q) agree on at most two points.
+step.  The walks are compositions of g's row, so the a-orbit rows are the
+orbits of g^d in its power order by construction; that a is g^d is
+checked on three points, which decides it, since two distinct elements
+of PGL(2, q) agree on at most two points.  For odd q, g = (0, -1; 1, t)
+keeps the norm form x^2 + t x y + y^2, so O_0 is the points where the
+form is a nonzero square: [x : 1] lies on it iff x^2 + t x + 1 is one.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolated
-from .projective import INF, CanonicalGenerators
+from .projective import CanonicalGenerators
 
 
 @dataclass(eq=False)
@@ -42,83 +41,46 @@ class OrbitTable:
         return values[..., self.order_idx].reshape(values.shape[:-1] + (-1, self.gens.p))
 
 
-def _off_orbit_point(setup) -> int | None:
-    """The first point [x : 1] off the g-orbit of infinity.  g = (0, -1; 1, t)
-    keeps Q(x, y) = x^2 + t x y + y^2 on vectors, and Q has no zero but 0
-    (X^2 + t X + 1 is irreducible, as alpha lies outside F_q), so the
-    square class of Q is constant on g-orbits; the squares are (q + 1)/2
-    points, as many as the orbit of infinity, where Q = 1.  So [x : 1] is
-    off that orbit iff x^2 + t x + 1 is not a square."""
-    fq, t = setup.fq, setup.t
-    return next((x + 1 for x in range(fq.q)
-                 if not fq.is_square(fq.add(fq.mul(x, fq.add(x, t)), 1))), None)
-
-
 def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     """The orbit table of ``gens``.  Once a walk holds g^j(start) for
     j < m = 2^k, the row of g^(2^k) maps them onto j = m..2m-1; the int32
     rows, each the last composed with itself, are built once for all the
-    walks, so a walk takes O(log(p d)) gathers.  The g-orbits are walked
-    in one pass, from infinity and, for odd q, from ``_off_orbit_point``.
-    The pass is kept when its walks close, cover the line once between
-    them, and the second starts at the least point off the first, as a
-    point-by-point walk's second orbit does.  Otherwise the orbits are
-    walked one at a time from the least point not yet seen, so a wrong g
-    is refused with the point-by-point walk's message.
+    walks, so a walk takes O(log(p d)) gathers.
 
-    Every step of every walk is checked against g's row, so the a-orbit
-    rows are the orbits of g^d in its power order, and a steps one place
-    along each of them iff a = g^d.  Both are elements of PGL(2, q), and
-    two distinct ones agree on at most two points, so a is checked on three
-    points of one a-orbit.  Broken orbits raise ``InvariantViolated``."""
-    q, group = gens.q, gens.group
+    The walks are compositions of g's row, so the a-orbit rows are the
+    orbits of g^d in its power order, and a steps one place along each of
+    them iff a = g^d.  Both are elements of PGL(2, q), and two distinct
+    ones agree on at most two points, so a is checked on three points of
+    one a-orbit.  Broken orbits raise ``InvariantViolated``."""
+    q = gens.q
     p, d, d_prime = gens.p, gens.d, gens.d_prime
     n = q + 1
     orbit_len = p * d
-    g_row = group.perm_array(gens.g)
-    steps = [g_row.astype(np.int32)]  # int32 halves the rows
+    steps = [gens.group.perm_array(gens.g).astype(np.int32)]  # int32 halves the rows
 
-    def walk(starts):
-        """g^j(start) for j = 0..orbit_len, one row per start, and whether
-        each row follows g's row step by step back to its start."""
-        out = np.empty((len(starts), orbit_len + 1), dtype=np.int64)
-        out[:, 0] = starts
+    # walk g from the first point not yet seen (INF comes first)
+    walks: list[np.ndarray] = []
+    seen = np.zeros(n, dtype=bool)
+    while not seen.all() and len(walks) <= d_prime:
+        start = int(seen.argmin())
+        walk = np.empty(orbit_len, dtype=np.int64)
+        walk[0] = start
         filled, k = 1, 0
-        while filled <= orbit_len:
+        while filled < orbit_len:
             if k == len(steps):
                 steps.append(steps[-1][steps[-1]])
-            m = min(filled, orbit_len + 1 - filled)
-            out[:, filled:filled + m] = steps[k][out[:, :m]]
+            m = min(filled, orbit_len - filled)
+            walk[filled:filled + m] = steps[k][walk[:m]]
             filled, k = filled + m, k + 1
-        closed = (g_row[out[:, :-1]] == out[:, 1:]).all(axis=1) & (out[:, -1] == out[:, 0])
-        return out[:, :-1], closed
-
-    def covers(walks):
-        return (np.bincount(walks.reshape(-1), minlength=n) == 1).all()
-
-    starts = [INF]
-    if d_prime == 2 and (off := _off_orbit_point(gens.setup)) is not None:
-        starts.append(off)
-    walks, closed = walk(starts)
-    # once the walks cover the line once, the least point off the first
-    # walk is the least point of the second
-    if not (closed.all() and len(starts) == d_prime and walks[-1].min() == starts[-1]
-            and covers(walks)):
-        rows: list[np.ndarray] = []
-        seen = np.zeros(n, dtype=bool)
-        while not seen.all() and len(rows) <= d_prime:
-            start = int(seen.argmin())
-            (row,), (ok,) = walk([start])
-            if not ok:
-                raise InvariantViolated(
-                    f"q={q}: g-orbit through {start} is not of length {orbit_len}")
-            seen[row] = True
-            rows.append(row)
-        if len(rows) != d_prime:
-            raise InvariantViolated(f"q={q}: g has {len(rows)} orbits, expected {d_prime}")
-        walks = np.stack(rows)
-        if not covers(walks):
-            raise InvariantViolated(f"q={q}: the a-orbits do not cover every point exactly once")
+        if steps[0][walk[-1]] != start:
+            raise InvariantViolated(f"q={q}: g-orbit through {start} is not of length {orbit_len}")
+        seen[walk] = True
+        walks.append(walk)
+    if len(walks) != d_prime:
+        raise InvariantViolated(f"q={q}: g has {len(walks)} orbits, expected {d_prime}")
+    walks = np.stack(walks)
+    if (np.bincount(walks.reshape(-1), minlength=n) != 1).any():
+        raise InvariantViolated(f"q={q}: the a-orbits do not cover every point exactly once")
 
     # walk[b d + j] = a^b(g^j(start)): the a-orbit through g^j(start) is
     # walk[j::d], read in one gather from its minimal point on
@@ -126,11 +88,11 @@ def build_orbits(gens: CanonicalGenerators) -> OrbitTable:
     cols = (first[..., None] + np.arange(0, orbit_len, d)) % orbit_len
     order_idx = walks[np.arange(d_prime)[:, None, None], cols].reshape(-1)
     orbit = order_idx[:p].tolist()
-    if any(group.apply(gens.a, orbit[b]) != orbit[(b + 1) % p] for b in range(3)):
+    if any(gens.group.apply(gens.a, orbit[b]) != orbit[(b + 1) % p] for b in range(3)):
         raise InvariantViolated(f"q={q}: a does not step one place along every a-orbit")
 
-    glabel = np.ones(n, dtype=np.int8)
-    glabel[order_idx[orbit_len:]] = 2
+    glabel = np.empty(n, dtype=np.int8)
+    glabel[order_idx] = 1 + np.arange(n) // orbit_len
     perm_g_inv = np.empty(n, dtype=np.int64)
-    perm_g_inv[g_row] = np.arange(n)
+    perm_g_inv[steps[0]] = np.arange(n)
     return OrbitTable(gens=gens, perm_g_inv=perm_g_inv, glabel=glabel, order_idx=order_idx)

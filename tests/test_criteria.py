@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psl2units.criteria import (
-    companion_condition, criterion_report, orbit_layers, orbit_sums as row_orbit_sums,
-    search_companion, shift_sums, verdicts,
+    criterion_report, orbit_layers, orbit_sums as row_orbit_sums, search_companion,
+    shift_sums, verdicts,
 )
 from psl2units.engine import CHUNK_ROWS, ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
@@ -19,10 +19,17 @@ from bitmask_oracle import (
 from conftest import _context, cached_context, random_outside_dihedralizer
 
 
+def companion_sums(gens, tab, h):
+    """(lhs != rhs, lhs, rhs) of the orbit-sum condition, as criterion_report
+    gives them."""
+    rep = criterion_report(gens, tab, h)
+    return rep.sums_differ, rep.lhs, rep.rhs
+
+
 def test_rejects_dihedralizer_members(ctx13):
     gens, tab = ctx13
     with pytest.raises(HInDihedralizer):
-        companion_condition(gens, tab, gens.g)
+        companion_sums(gens, tab, gens.g)
     with pytest.raises(HInDihedralizer):
         criterion_report(gens, tab, gens.a)
     with pytest.raises(HInDihedralizer):
@@ -63,7 +70,7 @@ def test_q13_every_h_satisfies(ctx13):
         if G.in_dihedralizer(h, gens.g):
             continue
         total += 1
-        differs, lhs, rhs = companion_condition(gens, tab, h)
+        differs, lhs, rhs = companion_sums(gens, tab, h)
         satisfied += differs
     assert (satisfied, total) == (1078, 1078)
 
@@ -75,7 +82,7 @@ def test_orbit_sum_identity(ctx13, ctx25, ctx27, ctx37):
         rng = random.Random(1)
         for _ in range(25):
             h = random_outside_dihedralizer(gens, rng)
-            _, lhs, rhs = companion_condition(gens, tab, h)
+            _, lhs, rhs = companion_sums(gens, tab, h)
             c = intersection_counts(gens, h)
             assert sum(c.mb[b][0][0][1] for b in range(gens.p)) == lhs
             assert sum(c.mb[b][0][1][0] for b in range(gens.p)) == rhs
@@ -119,7 +126,7 @@ def test_balanced_forces_equal_sums(ctx27):
         h = random_outside_dihedralizer(gens, rng)
         table = balance_table(gens, h)
         if all(table.values()):
-            differs, lhs, rhs = companion_condition(gens, tab, h)
+            differs, lhs, rhs = companion_sums(gens, tab, h)
             assert not differs and lhs == rhs
             balanced_seen += 1
         if balanced_seen >= 25:
@@ -135,7 +142,7 @@ def test_label_swap_preserves_verdict(ctx27):
     rng = random.Random(4)
     for _ in range(25):
         h = random_outside_dihedralizer(gens, rng)
-        differs, lhs, rhs = companion_condition(gens, tab, h)
+        differs, lhs, rhs = companion_sums(gens, tab, h)
         perm_h = G.perm_array(h).tolist()
         gh = conj_pow(G, gens.g, h)
         perm_gh = G.perm_array(gh).tolist()
@@ -235,7 +242,7 @@ def test_engine_matches_scalar(ctx13, ctx25, ctx27):
             assert bool(dmask[i]) == G.in_dihedralizer(h, gens.g)
             if not dmask[i]:
                 assert (bool(ok[i]), int(lhs[i]), int(rhs[i])) == \
-                    companion_condition(gens, tab, h) == orbit_sums(gens, h)
+                    companion_sums(gens, tab, h) == orbit_sums(gens, h)
 
 
 def _dihedralizer(gens):
@@ -315,7 +322,7 @@ def test_engine_balance_matches_scalar(ctx13, ctx25, ctx27, ctx37):
             assert bool(unbalanced[i]) == rep.unbalanced \
                 == (not all(balance_table(gens, h).values()))
             assert (bool(differs[i]), int(lhs[i]), int(rhs[i])) == \
-                companion_condition(gens, tab, h) == orbit_sums(gens, h)
+                companion_sums(gens, tab, h) == orbit_sums(gens, h)
 
 
 def _signed_rows(tab, on_o0, on_o1):
