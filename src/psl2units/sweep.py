@@ -33,7 +33,9 @@ from .classify import dpc_predicate
 from .criteria import search_companion
 from .engine import ConditionEngine
 from .errors import InadmissiblePair
-from .finite_fields import PrimePower, build_setup, factorize, is_prime
+from .finite_fields import (
+    PrimePower, build_setup, factorize, is_prime, prime_power_decomposition,
+)
 from .orbits import build_orbits
 from .projective import make_generators
 
@@ -140,9 +142,11 @@ def check_single(q: int, p: int, exhaustive: bool = False, samples: int = 200,
     if q % 2 == 0:
         raise InadmissiblePair(q, p, "q even")
     try:
-        PrimePower.from_q(q)
+        prime_power_decomposition(q)
     except ValueError:
         raise InadmissiblePair(q, p, "q not a prime power") from None
+    if q < 4:
+        raise InadmissiblePair(q, p, "q < 4: PSL(2,q) is not simple")
     if not is_prime(p):
         raise InadmissiblePair(q, p, "p not prime")
     if p <= 5:

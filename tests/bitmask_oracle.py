@@ -5,9 +5,10 @@ It shares no code with them: the g- and a-orbits are its own point lists,
 walked on perm_array(g) and perm_array(a), g^h comes from ``conj_pow`` and
 its own permutation array, point sets are bitmasks over the point indices,
 and every triple count m[b][i][j][k] = |h a^b h^-1(O_i) n h(O_j) n g h(O_k)|
-is counted outright.  ``coset_key`` names the <g>-double coset of an h
-outside D by scalar ``QuadraticExtension`` arithmetic, as an oracle for
-the double-coset surveys of ``psl2units.engine``.
+is counted outright.  ``coset_key`` and ``norm_class`` name the
+<g>-double coset and the norm class of an h outside D by scalar
+``QuadraticExtension`` arithmetic, as an oracle for the surveys of
+``psl2units.engine``.
 """
 
 from __future__ import annotations
@@ -188,15 +189,9 @@ def balance_table(gens, h, counts: IntersectionCounts | None = None) -> dict[int
     return table
 
 
-def coset_key(gens, h):
-    """kappa(h) = w^((q+1)/2), w = (h(xi) - xi)/(h(xi) - xi^q), for h outside
-    D and q odd, with xi = -alpha the fixed point of g in F_{q^2}.
-
-    h -> h(xi) identifies G/<g> with the points of P^1(F_{q^2}) off
-    P^1(F_q), and <g> acts on w by the subgroup of order (q+1)/2 of
-    F_{q^2}*, the kernel of x -> x^((q+1)/2); so two elements share a key
-    exactly when they share a double coset <g> h <g>.
-    """
+def cayley_image(gens, h):
+    """w = (h(xi) - xi)/(h(xi) - xi^q) for h outside D and q odd, with
+    xi = -alpha the fixed point of g in F_{q^2}."""
     _require_outside_dihedralizer(gens, h)
     fq2 = gens.setup.fq2
     xi = fq2.neg(gens.setup.alpha)
@@ -205,4 +200,22 @@ def coset_key(gens, h):
     den = fq2.add(fq2.mul(c, xi), d)
     near = fq2.sub(num, fq2.mul(den, xi))
     far = fq2.sub(num, fq2.mul(den, fq2.frobenius(xi)))
-    return fq2.pow(fq2.mul(near, fq2.inv(far)), (gens.q + 1) // 2)
+    return fq2.mul(near, fq2.inv(far))
+
+
+def coset_key(gens, h):
+    """kappa(h) = w^((q+1)/2), w the Cayley image of h.
+
+    h -> h(xi) identifies G/<g> with the points of P^1(F_{q^2}) off
+    P^1(F_q), and <g> acts on w by the subgroup of order (q+1)/2 of
+    F_{q^2}*, the kernel of x -> x^((q+1)/2); so two elements share a key
+    exactly when they share a double coset <g> h <g>.
+    """
+    return gens.setup.fq2.pow(cayley_image(gens, h), (gens.q + 1) // 2)
+
+
+def norm_class(gens, h):
+    """The smaller encoding of nu and 1/nu, nu = N(w) in F_q* the norm of
+    the Cayley image of h: the survey's class of h."""
+    nu = gens.setup.fq2.norm(cayley_image(gens, h))
+    return min(nu, gens.setup.fq.inv(nu))

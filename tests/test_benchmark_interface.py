@@ -50,6 +50,6 @@ print(sorted(set(tracer.names)))
     restored, names = proc.stdout.splitlines()
     assert restored == "True"
     for span in ("orbits.build_orbits", "criteria.search_companion", "engine.init",
-                 "engine.condition_batch", "engine.mobius_batch", "engine.survey",
+                 "engine.enumerate_batches", "engine.mobius_batch", "engine.survey",
                  "spectral.exact_certificate", "projective.perm_array"):
         assert repr(span) in names

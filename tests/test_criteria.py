@@ -9,12 +9,12 @@ from psl2units.criteria import (
     criterion_report, orbit_layers, orbit_sums as row_orbit_sums, search_companion,
     shift_sums, verdicts,
 )
-from psl2units.engine import CHUNK_ROWS, ConditionEngine
+from psl2units.engine import ConditionEngine
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 
 from bitmask_oracle import (
     balance_table, conj_pow, coset_key, image_points, intersect_count, intersection_counts,
-    mask_of, orbit_lists, orbit_sums,
+    mask_of, norm_class, orbit_lists, orbit_sums,
 )
 from conftest import _context, cached_context, random_outside_dihedralizer
 
@@ -401,9 +401,9 @@ def _brute_survey(eng):
 @pytest.mark.parametrize("l, r, p", [(13, 1, 7), (5, 2, 13), (3, 3, 7), (37, 1, 19),
                                      (41, 1, 7)])
 def test_double_coset_survey_matches_full_enumeration(l, r, p, monkeypatch):
-    # criteria_batch sees each representative exactly once, condition_batch
-    # only the first_h walk, which reads the enumeration at most one chunk
-    # past first_h
+    # criteria_batch sees one row per norm class and then gamma's three
+    # partners, all in distinct double cosets; the first_h walk reads the
+    # class table and calls no condition_batch
     eng = ConditionEngine(*_context(l, r, p))
     want = _brute_survey(eng)
     evaluated = {"condition_batch": [], "criteria_batch": []}
@@ -413,12 +413,13 @@ def test_double_coset_survey_matches_full_enumeration(l, r, p, monkeypatch):
                             calls.append(mats.copy()) or method(mats))
     sv = eng.survey()
     assert (sv.total, sv.satisfied, sv.unbalanced, sv.first_h, sv.first_tries) == want
-    reps = np.concatenate(evaluated["criteria_batch"])
-    assert len({coset_key(eng.gens, tuple(row)) for row in reps.tolist()}) == len(reps) \
-        == 2 * eng.q - 4
-    walked = [row for m in evaluated["condition_batch"] for row in m.tolist()]
-    assert walked == _outside_d(eng)[:len(walked)].tolist()
-    assert sv.first_tries <= len(walked) <= sv.first_tries + CHUNK_ROWS
+    reps = np.concatenate(evaluated["criteria_batch"]).tolist()
+    half = (eng.q - 1) // 2
+    assert len({coset_key(eng.gens, tuple(row)) for row in reps}) == len(reps) == half + 3
+    classes = [norm_class(eng.gens, tuple(row)) for row in reps]
+    assert len(set(classes[:half])) == half
+    assert classes[half:] == [classes[0]] * 3
+    assert evaluated["condition_batch"] == []
 
 
 def test_survey_and_census_memory_linear_in_q():
@@ -459,6 +460,44 @@ def test_coset_keys_are_the_double_cosets(ctx, request):
     columns = np.stack([col.astype(np.int64) for col in eng.criteria_batch(mats)], axis=1)
     for k in range(len(classes)):
         assert len(np.unique(columns[inverse == k], axis=0)) == 1
+
+
+@pytest.mark.parametrize("ctx", ["ctx13", "ctx25", "ctx27", "ctx37"])
+def test_verdicts_constant_on_norm_classes(ctx, request):
+    # every h in G - D: (q-1)/2 classes {nu, 1/nu}, of 4 |T|^2 elements
+    # and 2 |T|^2 at nu = -1, with both verdicts constant on each
+    eng = ConditionEngine(*request.getfixturevalue(ctx))
+    q = eng.q
+    mats = _outside_d(eng)
+    keys = [norm_class(eng.gens, tuple(row)) for row in mats.tolist()]
+    classes, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    assert len(classes) == (q - 1) // 2
+    minus_one = eng.fq.neg(1)
+    size = ((q + 1) // 2) ** 2
+    assert dict(zip(classes.tolist(), sizes.tolist())) == \
+        {c: (2 if c == minus_one else 4) * size for c in classes.tolist()}
+    differs, _, _, unbalanced = eng.criteria_batch(mats)
+    columns = np.stack([differs, unbalanced], axis=1)
+    for k in range(len(classes)):
+        assert len(np.unique(columns[inverse == k], axis=0)) == 1
+
+
+@pytest.mark.parametrize("column", [0, 3])
+def test_partner_verdict_mismatch_raises(ctx27, monkeypatch, column):
+    # gamma^-1, gamma^q and gamma^(q-2) share gamma's norm class, so the
+    # survey checks their verdicts against gamma's: one flipped verdict
+    # (differs or unbalanced) of the last partner is refused
+    eng = ConditionEngine(*ctx27)
+    evaluate = eng.criteria_batch
+
+    def flipped(mats):
+        out = [np.array(col) for col in evaluate(mats)]
+        out[column][-1] ^= True
+        return tuple(out)
+
+    monkeypatch.setattr(eng, "criteria_batch", flipped)
+    with pytest.raises(InvariantViolated, match="other verdicts"):
+        eng.survey()
 
 
 def test_repeated_double_coset_raises(ctx27, monkeypatch):

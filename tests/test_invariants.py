@@ -286,6 +286,31 @@ except InvariantViolated as exc:
 """) == "True"
 
 
+def test_partner_check_survives_python_O():
+    # the survey refuses a partner of gamma whose verdict differs from
+    # gamma's, for each of the two verdicts
+    assert _rejected_under_python_O("""
+import numpy as np
+from psl2units.engine import ConditionEngine
+from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.orbits import build_orbits
+from psl2units.projective import make_generators
+gens = make_generators(build_setup(PrimePower.from_q(27)), 7)
+for column in (0, 3):
+    eng = ConditionEngine(gens, build_orbits(gens))
+    evaluate = eng.criteria_batch
+    def flipped(mats, evaluate=evaluate, column=column):
+        out = [np.array(col) for col in evaluate(mats)]
+        out[column][-1] ^= True
+        return tuple(out)
+    eng.criteria_batch = flipped
+    try:
+        eng.survey()
+    except InvariantViolated as exc:
+        print("other verdicts" in str(exc))
+""") == "True\nTrue"
+
+
 def test_zero_shift_check_survives_python_O():
     # layers whose balance defect at shift 0 is not zero are refused
     assert _rejected_under_python_O("""

@@ -109,6 +109,9 @@ def test_check_single_inadmissible():
         check_single(15, 7)
     assert exc.value.reason == "q not a prime power"
     with pytest.raises(InadmissiblePair) as exc:
+        check_single(1, 7)
+    assert exc.value.reason == "q not a prime power"
+    with pytest.raises(InadmissiblePair) as exc:
         check_single(13, 6)
     assert exc.value.reason == "p not prime"
     with pytest.raises(InadmissiblePair) as exc:
@@ -120,6 +123,13 @@ def test_check_single_inadmissible():
     with pytest.raises(InadmissiblePair) as exc:
         check_single(2197, 7)
     assert exc.value.reason.startswith("no dihedral p-critical element")
+
+
+def test_check_single_q_below_four_has_its_own_reason():
+    # 3 is a prime power; PSL(2, 3) is refused because it is not simple
+    with pytest.raises(InadmissiblePair) as exc:
+        check_single(3, 7)
+    assert exc.value.reason == "q < 4: PSL(2,q) is not simple"
 
 
 def test_record_json_roundtrip():
@@ -392,6 +402,7 @@ def test_cli_spectral_bad_matrix(capsys):
     (["spectral", "--q", "27", "--p", "7", "--k", "2", "--m", "-21", "--h", "1,1,0,1"],
      "m=-21 must be a positive multiple"),
     (["classify", "--q", "12", "--p", "7"], "12 is not a prime power"),
+    (["check", "--q", "3", "--p", "7"], "inadmissible: q < 4"),
     (["check", "--q", "27", "--p", "7", "--samples", "0"], "samples=0 must be at least 1"),
     (["check", "--q", "27", "--p", "7", "--samples", "-3"], "samples=-3 must be at least 1"),
     (["sweep", "--q-min", "7", "--q-max", "30", "--samples", "0"],
@@ -401,7 +412,7 @@ def test_cli_spectral_bad_matrix(capsys):
     (["sweep", "--q-min", "2000", "--q-max", "7"], "q_min=2000 is above q_max=7"),
 ], ids=["spectral-q-not-prime-power", "spectral-p-not-dividing", "spectral-bad-k",
         "spectral-m-zero", "spectral-m-negative", "classify-q-not-prime-power",
-        "check-samples-zero", "check-samples-negative", "sweep-samples-zero",
+        "check-q-below-four", "check-samples-zero", "check-samples-negative", "sweep-samples-zero",
         "sweep-jobs-zero", "sweep-jobs-negative", "sweep-range-reversed"])
 def test_cli_bad_input_is_a_typed_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # where a sweep would write its default --out
@@ -533,3 +544,22 @@ def test_run_sweep_near_ten_to_the_fifth_pinned(tmp_path):
     digests = [record_from_json(json.loads(line)).digest()
                for line in out.read_text().splitlines()]
     assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == SWEEP_99701_99999_SHA256
+
+
+# sha256 of json.dumps([to_json_dict() without elapsed_ms], sort_keys=True)
+# over check_single(q, p, exhaustive=True) for the 164 admissible pairs of
+# 7..999 in (q, p) order, as computed when the survey evaluated one row per
+# <g>-double coset and found first_h by the condition on the enumeration
+EXHAUSTIVE_7_999_SHA256 = "fa247442909c479042988c7f8eb1a108f878f9c2e21b3129f41297206bd24f03"
+
+
+def test_exhaustive_records_pinned():
+    records = []
+    for pp in odd_prime_powers(7, 999):
+        for p in admissible_primes(pp.q):
+            rec = check_single(pp.q, p, exhaustive=True).to_json_dict()
+            del rec["elapsed_ms"]
+            records.append(rec)
+    assert len(records) == 164
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXHAUSTIVE_7_999_SHA256
