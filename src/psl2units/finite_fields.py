@@ -170,14 +170,6 @@ def _power_encodings(x, cand, n, l):
 # Base field
 
 
-def _order_in_group(n: int, primes, is_one, powfn) -> int:
-    o = n
-    for s in primes:
-        while o % s == 0 and is_one(powfn(o // s)):
-            o //= s
-    return o
-
-
 def lucas(fq: "Field", t: int, k: int) -> int:
     """V_k(t) in fq, with V_0 = 2, V_1 = t and V_(j+1) = t V_j - V_(j-1):
     the trace lam^k + lam^-k of lam^k whenever lam + 1/lam = t.
@@ -268,11 +260,6 @@ class PrimeField(Field):
             raise ZeroElement("0 has no inverse")
         return pow(x, -1, self.l)
 
-    def pow(self, x, e):
-        if e < 0:
-            return pow(self.inv(x), -e, self.l)
-        return pow(x, e, self.l)
-
     def add_array(self, x, y):
         return np.add(x, y, dtype=np.int64) % self.l
 
@@ -295,8 +282,11 @@ class PrimeField(Field):
     def element_order(self, x):
         if x == 0:
             raise ZeroElement("order of 0 is undefined")
-        return _order_in_group(self.q - 1, self._qm1_primes, lambda v: v == 1,
-                               lambda e: self.pow(x, e))
+        o = self.q - 1
+        for s in self._qm1_primes:
+            while o % s == 0 and pow(x, o // s, self.l) == 1:
+                o //= s
+        return o
 
 
 class ExtensionField(Field):
@@ -362,15 +352,6 @@ class ExtensionField(Field):
         if x == 0:
             raise ZeroElement("0 has no inverse")
         return self.inv_table[x]
-
-    def pow(self, x, e):
-        if x == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroElement("0 has no inverse")
-            return 0
-        return self.exp[(self.log[x] * e) % (self.q - 1)]
 
     def add_array(self, x, y):
         lx = self._log_array[x]
@@ -555,13 +536,6 @@ class QuadraticExtension:
             u = self.mul(u, u)
             e >>= 1
         return result
-
-    def element_order(self, u):
-        if u == self.zero:
-            raise ZeroElement("order of 0 is undefined")
-        n = self.q * self.q - 1
-        return _order_in_group(n, factorize(n), lambda v: v == self.one,
-                               lambda e: self.pow(u, e))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ pair with a Bass unit; nothing representation-theoretic lives here.
 
 from __future__ import annotations
 
+from .errors import InvariantViolated
 from .projective import Element, PSL2
 
 
@@ -100,12 +101,14 @@ class GroupRingElement:
 
 
 def hat(group: PSL2, g: Element) -> GroupRingElement:
-    """1 + g + ... + g^(n-1) for n the order of g."""
-    n = group.element_order(g)
-    coeffs: dict[Element, int] = {}
-    cur = group.normalize(group.identity)
-    for _ in range(n):
-        coeffs[cur] = coeffs.get(cur, 0) + 1
+    """1 + g + ... + g^(n-1), n the order of g (at most q + 1), in one walk of <g>."""
+    ident = group.normalize(group.identity)
+    coeffs = {ident: 1}
+    cur = group.normalize(g)
+    while cur != ident:
+        if len(coeffs) > group.q:
+            raise InvariantViolated(f"the order of {g} exceeds q + 1")
+        coeffs[cur] = 1
         cur = group.compose(cur, g)
     return GroupRingElement(group, coeffs)
 

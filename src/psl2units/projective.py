@@ -135,17 +135,6 @@ class PSL2:
             e >>= 1
         return result
 
-    def element_order(self, m: Element) -> int:
-        ident = self.normalize(self.identity)
-        cur = self.normalize(m)
-        s = 1
-        while cur != ident:
-            cur = self.compose(cur, m)
-            s += 1
-            if s > self.q + 1:
-                raise InvariantViolated(f"the order of {m} exceeds q + 1")
-        return s
-
     def has_order(self, m: Element, n: int) -> bool:
         """True iff m has order exactly n in PSL(2,q) (never for n < 1), read
         off the trace t of m in O(omega(n) log n) scalar field operations.
@@ -215,8 +204,8 @@ class PSL2:
         """Uniform element from a seeded random stream.
 
         Draws a random matrix until invertible; a non-square determinant
-        (odd q) is repaired by rescaling the first row with the fixed
-        non-square, then the whole matrix is scaled to determinant 1.
+        (odd q; 0 in ``square_roots``) is repaired by rescaling the first
+        row with the fixed non-square, then scaled to determinant 1.
         """
         fq = self.fq
         while True:
@@ -224,11 +213,11 @@ class PSL2:
             det = fq.sub(fq.mul(a, d), fq.mul(b, c))
             if det != 0:
                 break
-        if self.d_prime == 2 and not fq.is_square(det):
+        y = int(fq.square_roots[det])
+        if not y:  # det is a non-square, which needs odd q
             ns = fq.first_non_square()
             a, b = fq.mul(a, ns), fq.mul(b, ns)
-            det = fq.mul(det, ns)
-        y = int(fq.square_roots[det])
+            y = int(fq.square_roots[fq.mul(det, ns)])
         s = fq.inv(y)
         return self.normalize((fq.mul(a, s), fq.mul(b, s), fq.mul(c, s), fq.mul(d, s)))
 
@@ -240,8 +229,8 @@ class PSL2:
         With each point a column [x : 1] or [1 : 0] (infinity), the frame
         F = (a P0 | b P2), a = det(P1, P2), b = det(P0, P1), sends [1 : 0],
         [1 : 1] and [0 : 1] to P0, P1 and P2, since a P0 + b P2 =
-        det(P0, P2) P1 (Cramer).  F_y adj(F_x) sends x_i to y_i, and
-        det^(q/2) is the square root of its determinant in characteristic 2.
+        det(P0, P2) P1 (Cramer).  F_y adj(F_x) sends x_i to y_i, scaled by
+        the square root of its determinant, unique in characteristic 2.
         """
         if self.d_prime != 1:
             raise ValueError("the action is triply transitive only for even q")
@@ -262,7 +251,7 @@ class PSL2:
         # F_y times adj(F_x) = (h, -f; -g, e)
         m = (fq.sub(fq.mul(a, h), fq.mul(b, g)), fq.sub(fq.mul(b, e), fq.mul(a, f)),
              fq.sub(fq.mul(c, h), fq.mul(d, g)), fq.sub(fq.mul(d, e), fq.mul(c, f)))
-        s = fq.inv(fq.pow(det(m[:2], m[2:]), self.q // 2))
+        s = fq.inv(int(fq.square_roots[det(m[:2], m[2:])]))
         out = self.normalize(tuple(fq.mul(v, s) for v in m))
         if (self.apply(out, x0), self.apply(out, x1), self.apply(out, x2)) != (y0, y1, y2):
             raise InvariantViolated(f"{out} does not send {(x0, x1, x2)} to {(y0, y1, y2)}")

@@ -33,9 +33,8 @@ orbits for odd q, three for even q).  Only those columns are walked: two
 or three points a step for ord(x) steps, into an n x 2 or n x 3 array.
 Once tau = psi phi^T, tau^2 = (phi . psi) tau, so tau squares to zero
 iff phi . psi = 0, and its rank is 1 iff psi and phi are nonzero.  The
-group ring route (``nilpotent_part`` of ``paired_companion`` or
-``sigma_companion``, and ``integer_rank``) is the dense oracle's and the
-tests'.
+group ring route (``nilpotent_part`` of ``bicyclic_right``, and
+``integer_rank``) is the dense oracle's and the tests'.
 """
 
 from __future__ import annotations
@@ -66,14 +65,6 @@ def vanishes(c) -> bool:
 
 # ---------------------------------------------------------------------------
 # Matrices of the permutation representation
-
-
-def perm_matrix(group: PSL2, h: Element) -> np.ndarray:
-    """0/1 matrix M with M[x, y] = 1 iff h(y) = x."""
-    n = group.n_points
-    out = np.zeros((n, n), dtype=np.int64)
-    out[group.perm_array(h), np.arange(n)] = 1
-    return out
 
 
 def unit_matrix(group: PSL2, w: GroupRingElement) -> np.ndarray:
@@ -118,16 +109,6 @@ def row_displacement(perm_x: np.ndarray, perm_y: np.ndarray, cols: np.ndarray) -
                 raise InvariantViolated("the x-orbits of the walked columns must cover every point")
             return tau
     raise InvariantViolated(f"x does not return to the identity within {n} steps")
-
-
-def sigma_companion(gens: CanonicalGenerators) -> GroupRingElement:
-    """The fixed candidate 1 + (1 - sigma) g sigmahat."""
-    return bicyclic_right(gens.group, gens.sigma, gens.g)
-
-
-def paired_companion(gens: CanonicalGenerators, h: Element) -> GroupRingElement:
-    """The h-indexed candidate 1 + (1 - g) h ghat (nontrivial iff h outside D)."""
-    return bicyclic_right(gens.group, gens.g, h)
 
 
 def integer_rank(mat: np.ndarray) -> int:

@@ -168,8 +168,9 @@ def _journal_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".journal")
 
 
-def _journal_line(key: tuple[int, int], digest: str) -> str:
-    return json.dumps({"q": key[0], "p": key[1], "digest": digest}) + "\n"
+def _journal_line(key: tuple[int, int], digest: str, seed: int, samples: int) -> str:
+    return json.dumps({"q": key[0], "p": key[1], "digest": digest,
+                       "seed": seed, "samples": samples}) + "\n"
 
 
 def _json_lines(path: Path):
@@ -187,10 +188,13 @@ def _json_lines(path: Path):
             yield line, decoded
 
 
-def _load_journal(out_path: Path) -> dict[tuple[int, int], str]:
-    return {(entry["q"], entry["p"]): entry["digest"]
-            for _, entry in _json_lines(_journal_path(out_path))
-            if "digest" in entry}
+def _load_journal(out_path: Path, pairs, seed: int, samples: int) -> dict[tuple[int, int], str]:
+    """Digests of the journal's entries for pairs, run under seed and samples;
+    any other entry is dropped, so that its pair runs again."""
+    wanted = set(pairs)
+    return {(e["q"], e["p"]): e["digest"] for _, e in _json_lines(_journal_path(out_path))
+            if (e["q"], e["p"]) in wanted and "digest" in e
+            and (e.get("seed"), e.get("samples")) == (seed, samples)}
 
 
 def _compact_output(out_path: Path,
@@ -243,12 +247,12 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
              for p in admissible_primes(pp.q)]
     journal = _journal_path(out_path)
     if resume:
-        done = _load_journal(out_path)
+        done = _load_journal(out_path, pairs, seed, samples)
         # a journaled pair whose line is missing, altered or torn is run again
         kept = _compact_output(out_path, done)
         # the journal keeps exactly the kept pairs, so that no torn last line
         # swallows the first entry appended after it
-        journal.write_text("".join(_journal_line(key, done[key]) for key in kept))
+        journal.write_text("".join(_journal_line(k, done[k], seed, samples) for k in kept))
     else:
         kept = {}
         journal.unlink(missing_ok=True)
@@ -267,7 +271,7 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
         def emit(key, rec: SweepRecord):
             out.write(rec.to_json_line() + "\n")
             out.flush()
-            jn.write(_journal_line(key, rec.digest()))
+            jn.write(_journal_line(key, rec.digest(), seed, samples))
             jn.flush()
             tally(key, rec.satisfied)
             if not rec.satisfied:
@@ -288,7 +292,7 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_run_task, task_args, chunksize=1)
         # kept lines and new records interleave in canonical order
-        for key in sorted(kept.keys() | set(pairs)):
+        for key in pairs:
             if key in kept:
                 out.write(kept[key] + "\n")
                 out.flush()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from psl2units.errors import InvalidSpec
-from psl2units.finite_fields import PrimePower, build_setup
+from psl2units.errors import InvalidSpec, InvariantViolated, ZeroElement
+from psl2units.finite_fields import PrimePower, build_setup, factorize
 from psl2units.group_ring import GroupRingElement, hat
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
@@ -91,12 +91,41 @@ def diagonalizer_identities(gens, tab):
     return unitary_ok, diagonal_ok
 
 
+# -- element orders by walks and powers: oracles of has_order, hat and
+# generates_norm_one ------------------------------------------------------------
+
+
+def element_order(group, m):
+    """Order of m in PSL(2,q), by walking its powers up to the identity."""
+    ident = group.normalize(group.identity)
+    cur = group.normalize(m)
+    s = 1
+    while cur != ident:
+        cur = group.compose(cur, m)
+        s += 1
+        if s > group.q + 1:
+            raise InvariantViolated(f"the order of {m} exceeds q + 1")
+    return s
+
+
+def ext_element_order(fq2, u):
+    """Order of u in F_{q^2}*, by scalar powers: q^2 - 1 divided by each
+    prime s while u^(o/s) = 1."""
+    if u == fq2.zero:
+        raise ZeroElement("order of 0 is undefined")
+    o = fq2.q * fq2.q - 1
+    for s in factorize(o):
+        while o % s == 0 and fq2.pow(u, o // s) == fq2.one:
+            o //= s
+    return o
+
+
 # -- group ring units that only the tests build ---------------------------------
 
 
 def bass_unit(group, base, k, m):
     """The Bass unit (1 + g + ... + g^(k-1))^m + ((1 - k^m)/n) ghat."""
-    n = group.element_order(base)
+    n = element_order(group, base)
     if pow(k, m, n) != 1:
         raise InvalidSpec(f"k^m = {k}^{m} is not 1 mod {n}")
     partial = {}

@@ -12,6 +12,8 @@ from psl2units.finite_fields import (
     factorize, is_prime, make_field, prime_power_decomposition,
 )
 
+from conftest import ext_element_order
+
 
 def _irreducible_quadratics(l):
     # independent oracle: a monic quadratic over F_l is irreducible iff
@@ -278,10 +280,24 @@ def test_element_order_basics():
         fq.element_order(0)
 
 
+@pytest.mark.parametrize("l", [13, 997, 9973])
+def test_prime_field_element_order_matches_brute_force(l):
+    # every x at once: the first k with x^k = 1, by multiplying by x k times
+    x = np.arange(1, l, dtype=np.int64)
+    order = np.zeros(l - 1, dtype=np.int64)
+    cur = x.copy()
+    for k in range(1, l):
+        order[(cur == 1) & (order == 0)] = k
+        cur = cur * x % l
+    assert (order > 0).all()
+    fq = PrimeField(l)
+    assert [fq.element_order(v) for v in range(1, l)] == order.tolist()
+
+
 def test_setup_q13():
     setup = build_setup(PrimePower.make(13, 1))
     fq2 = setup.fq2
-    assert fq2.element_order(setup.alpha) == 14
+    assert ext_element_order(fq2, setup.alpha) == 14
     assert fq2.norm(setup.alpha) == 1
     t = setup.t
     # the trace satisfies t^3 - t^2 - 2t + 1 = 0 mod 13; the admissible
@@ -310,7 +326,7 @@ def test_setup_q16_trace_not_degenerate():
 def test_setup_alpha_order_always_q_plus_1():
     for (l, r) in ((7, 1), (11, 1), (5, 2), (3, 3), (2, 4)):
         setup = build_setup(PrimePower.make(l, r))
-        assert setup.fq2.element_order(setup.alpha) == setup.pp.q + 1
+        assert ext_element_order(setup.fq2, setup.alpha) == setup.pp.q + 1
 
 
 def test_setup_deterministic():
@@ -345,7 +361,7 @@ def _setup_scan_from_one(pp):
     q = pp.q
     for e in range(1, q * q):
         cand = fq2.pow(fq2.from_encoding(e), q - 1)
-        if cand != fq2.one and fq2.element_order(cand) == q + 1:
+        if cand != fq2.one and ext_element_order(fq2, cand) == q + 1:
             alpha = cand
             break
     beta = next(x for x in range(1, q) if fq.element_order(x) == q - 1)
@@ -376,7 +392,7 @@ def test_first_primitive_matches_element_order_scan():
         fq2 = QuadraticExtension(make_field(pp.l, pp.r))
         n = pp.q * pp.q - 1
         gamma = next(u for u in map(fq2.from_encoding, range(pp.q, pp.q * pp.q))
-                     if fq2.element_order(u) == n)
+                     if ext_element_order(fq2, u) == n)
         assert fq2.first_primitive() == gamma, pp.q
 
 
@@ -389,7 +405,7 @@ def test_ratio_trace_and_order_test_match_scalar_powers(q):
         u = fq2.pow(xi, q - 1)
         s = fq2.ratio_trace(xi)
         assert s == fq2.trace(u)
-        assert fq2.generates_norm_one(s) == (fq2.element_order(u) == q + 1)
+        assert fq2.generates_norm_one(s) == (ext_element_order(fq2, u) == q + 1)
 
 
 def test_setup_matches_scan_from_encoding_one():

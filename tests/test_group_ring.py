@@ -1,21 +1,22 @@
+import copy
 import random
 
 import pytest
 
-from psl2units.errors import InvalidSpec
+from psl2units.errors import InvalidSpec, InvariantViolated
 from psl2units.finite_fields import make_field
 from psl2units.group_ring import GroupRingElement, bicyclic_right, hat
 from psl2units.projective import PSL2
 
 from conftest import (
-    _context, augmentation, bass_unit, bicyclic_left, conjugate_unit,
+    _context, augmentation, bass_unit, bicyclic_left, conjugate_unit, element_order,
     random_outside_dihedralizer,
 )
 
 
 def _element_of_order(group, n):
     return next(m for m in group.enumerate_elements()
-                if group.element_order(m) == n)
+                if element_order(group, m) == n)
 
 
 def _random_sparse(group, rng, size=4, bound=9):
@@ -51,12 +52,42 @@ def test_hat_basics(ctx13):
     G = gens.group
     assert hat(G, G.identity) == GroupRingElement.one(G)
     hg = hat(G, gens.g)
-    n = G.element_order(gens.g)
+    n = element_order(G, gens.g)
     assert len(hg.coeffs) == n
     one = GroupRingElement.one(G)
     g_el = GroupRingElement.from_element(G, gens.g)
     assert (one - g_el) * hg == GroupRingElement.zero(G)
     assert hg * hg == hg * n
+
+
+def _hat_by_two_walks(group, g):
+    """hat as built before it walked <g> once: the order by one walk, then
+    n steps of a second."""
+    coeffs = {}
+    cur = group.normalize(group.identity)
+    for _ in range(element_order(group, g)):
+        coeffs[cur] = coeffs.get(cur, 0) + 1
+        cur = group.compose(cur, g)
+    return GroupRingElement(group, coeffs)
+
+
+@pytest.mark.parametrize("field", [(13, 1), (2, 4)], ids=["13", "16"])
+def test_hat_matches_two_walks_on_every_element(field):
+    G = PSL2(make_field(*field))
+    count = 0
+    for m in G.enumerate_elements():
+        assert hat(G, m) == _hat_by_two_walks(G, m), m
+        count += 1
+    assert count == G.order()
+
+
+def test_hat_refuses_an_order_above_q_plus_1(ctx13):
+    gens, _ = ctx13
+    small = copy.copy(gens.group)
+    small.q = 5  # g has order 7 > q + 1
+    with pytest.raises(InvariantViolated, match="exceeds q \\+ 1"):
+        hat(small, gens.g)
+    assert len(hat(gens.group, gens.g).coeffs) == 7
 
 
 def test_bass_unit_trivial_for_k1(ctx13):
@@ -87,7 +118,7 @@ def test_bass_unit_augmentation_one(ctx13):
     checked = 0
     while checked < 50:
         base = G.random_element(rng)
-        n = G.element_order(base)
+        n = element_order(G, base)
         if n < 3:
             continue
         k = rng.randrange(2, n)

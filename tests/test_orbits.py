@@ -13,7 +13,7 @@ from psl2units.sweep import admissible_primes, odd_prime_powers
 
 from bitmask_oracle import conj_pow, image_points, intersect_count, mask_of, orbit_lists, \
     points_of
-from conftest import random_outside_dihedralizer
+from conftest import ext_element_order, random_outside_dihedralizer
 
 
 def _coords(tab):
@@ -35,7 +35,7 @@ def _setup_with_trace(l, r, target_t):
     for e in range(1, q * q):
         u = fq2.from_encoding(e)
         try:
-            if fq2.element_order(u) == q + 1 and fq2.trace(u) == target_t:
+            if ext_element_order(fq2, u) == q + 1 and fq2.trace(u) == target_t:
                 return FieldSetup(pp=PrimePower.make(l, r), fq=fq, fq2=fq2,
                                   alpha=u, t=target_t, beta=fq.first_primitive())
         except Exception:

@@ -21,9 +21,8 @@ from psl2units.group_ring import GroupRingElement, bicyclic_right
 from psl2units.projective import INF
 from psl2units.spectral import (
     eigen_data, exact_certificate,
-    integer_rank, nilpotent_part, numeric_oracle, paired_companion, perm_matrix,
-    projection_coeffs, recipe_element, row_displacement, sigma_companion,
-    unit_matrix, vanishes,
+    integer_rank, nilpotent_part, numeric_oracle, projection_coeffs, recipe_element,
+    row_displacement, unit_matrix, vanishes,
 )
 
 from bitmask_oracle import balance_table, intersection_counts
@@ -64,17 +63,22 @@ def test_cyclo_root_powers_sum_to_zero():
 # -- permutation matrices ------------------------------------------------------
 
 
+def _perm_matrix(G, h):
+    """0/1 matrix M with M[x, y] = 1 iff h(y) = x: unit_matrix of the term h."""
+    return unit_matrix(G, GroupRingElement.from_element(G, h))
+
+
 def test_perm_matrix_homomorphism(ctx13):
     gens, _ = ctx13
     G = gens.group
     rng = random.Random(1)
     for _ in range(10):
         h1, h2 = G.random_element(rng), G.random_element(rng)
-        m1, m2 = perm_matrix(G, h1), perm_matrix(G, h2)
-        assert np.array_equal(perm_matrix(G, G.compose(h1, h2)), m1 @ m2)
-    ident = perm_matrix(G, G.identity)
+        m1, m2 = _perm_matrix(G, h1), _perm_matrix(G, h2)
+        assert np.array_equal(_perm_matrix(G, G.compose(h1, h2)), m1 @ m2)
+    ident = _perm_matrix(G, G.identity)
     assert np.array_equal(ident, np.eye(G.n_points, dtype=np.int64))
-    m = perm_matrix(G, gens.g)
+    m = _perm_matrix(G, gens.g)
     assert (m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all()
 
 
@@ -85,7 +89,7 @@ def test_unit_matrix_is_linear(ctx13):
     m = unit_matrix(G, u)
     expected = np.zeros_like(m)
     for s, c in u.coeffs.items():
-        expected += c * perm_matrix(G, s)
+        expected += c * _perm_matrix(G, s)
     assert np.array_equal(m, expected)
 
 
@@ -209,12 +213,12 @@ def test_diagonalizer_identities_q16(ctx16):
 
 def test_sigma_displacement_ranks(ctx13, ctx16):
     gens13, _ = ctx13
-    tau13 = nilpotent_part(gens13.group, sigma_companion(gens13))
+    tau13 = nilpotent_part(gens13.group, bicyclic_right(gens13.group, gens13.sigma, gens13.g))
     assert integer_rank(tau13) == 2
     assert not (tau13 @ tau13).any()
 
     gens16, _ = ctx16
-    tau16 = nilpotent_part(gens16.group, sigma_companion(gens16))
+    tau16 = nilpotent_part(gens16.group, bicyclic_right(gens16.group, gens16.sigma, gens16.g))
     assert integer_rank(tau16) == 1
     assert not (tau16 @ tau16).any()
     assert not tau16[:, INF].any()  # the column at infinity vanishes
@@ -226,7 +230,7 @@ def test_paired_displacement_rank_one(ctx13):
     rng = random.Random(2)
     for _ in range(100):
         h = random_outside_dihedralizer(gens, rng)
-        tau = nilpotent_part(G, paired_companion(gens, h))
+        tau = nilpotent_part(G, bicyclic_right(G, gens.g, h))
         assert integer_rank(tau) == 1
         assert not (tau @ tau).any()
 
@@ -238,7 +242,7 @@ def test_paired_displacement_image_and_kernel(ctx13):
     phi = np.where(tab.glabel == 1, 1, -1)
     for _ in range(20):
         h = random_outside_dihedralizer(gens, rng)
-        tau = nilpotent_part(G, paired_companion(gens, h))
+        tau = nilpotent_part(G, bicyclic_right(G, gens.g, h))
         # every nonzero column is +-(the image vector); kernel is the
         # balanced hyperplane
         cols = {tuple(tau[:, y]) for y in range(G.n_points)}
@@ -270,7 +274,7 @@ def test_row_displacement_matches_group_ring_on_all_h_q13(ctx13):
         if G.in_dihedralizer(h, gens.g):
             continue
         assert np.array_equal(_dense(perm_g, _row(G, h)),
-                              nilpotent_part(G, paired_companion(gens, h)))
+                              nilpotent_part(G, bicyclic_right(G, gens.g, h)))
         count += 1
     assert count == 1078
 
@@ -284,7 +288,7 @@ def test_row_displacement_matches_group_ring_on_seeded_h(field):
     for _ in range(5):
         h = random_outside_dihedralizer(gens, rng)
         assert np.array_equal(_dense(perm_g, _row(G, h)),
-                              nilpotent_part(G, paired_companion(gens, h)))
+                              nilpotent_part(G, bicyclic_right(G, gens.g, h)))
 
 
 @pytest.mark.parametrize("field", [(2, 4, 17), (2, 5, 11), (2, 6, 13)], ids=["16", "32", "64"])
@@ -292,7 +296,7 @@ def test_row_displacement_matches_sigma_companion(field):
     gens, _ = cached_context(*field)
     G = gens.group
     assert np.array_equal(_dense(_row(G, gens.sigma), _row(G, gens.g)),
-                          nilpotent_part(G, sigma_companion(gens)))
+                          nilpotent_part(G, bicyclic_right(G, gens.sigma, gens.g)))
 
 
 @settings(max_examples=60, deadline=None)

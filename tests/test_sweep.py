@@ -265,6 +265,56 @@ def test_run_sweep_resume(tmp_path):
     assert strip(crash.read_text().splitlines()) == strip(full_lines)
 
 
+def _records(path: Path) -> list[dict]:
+    """The records of a sweep output, without their elapsed_ms."""
+    return [{k: v for k, v in json.loads(line).items() if k != "elapsed_ms"}
+            for line in path.read_text().splitlines()]
+
+
+def test_run_sweep_resume_with_a_narrower_range(tmp_path):
+    # the records of 7..100 outside 7..30 are neither written nor counted
+    out, fresh = tmp_path / "wide.jsonl", tmp_path / "fresh.jsonl"
+    assert run_sweep(7, 100, seed=1, out_path=out).pairs == 12
+    resumed = run_sweep(7, 30, seed=1, out_path=out, resume=True)
+    assert (resumed.pairs, resumed.satisfied) == (3, 3)
+    run_sweep(7, 30, seed=1, out_path=fresh)
+    assert _records(out) == _records(fresh)
+    assert len((tmp_path / "wide.jsonl.journal").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("flags", [{"seed": 2}, {"samples": 1}], ids=["seed", "samples"])
+def test_run_sweep_resume_under_other_flags_reruns_every_pair(tmp_path, flags):
+    out, fresh = tmp_path / "first.jsonl", tmp_path / "fresh.jsonl"
+    first = run_sweep(7, 150, samples=50, seed=1, out_path=out)
+    other = {"samples": 50, "seed": 1, **flags}
+    ran = []
+    resumed = run_sweep(7, 150, out_path=out, resume=True,
+                        progress=lambda key, rec: ran.append(key), **other)
+    assert len(ran) == resumed.pairs == first.pairs
+    run_sweep(7, 150, out_path=fresh, **other)
+    assert _records(out) == _records(fresh)
+    # resuming again under the same flags runs nothing
+    ran.clear()
+    run_sweep(7, 150, out_path=out, resume=True, progress=lambda key, rec: ran.append(key),
+              **other)
+    assert ran == [] and _records(out) == _records(fresh)
+
+
+def test_run_sweep_resume_reruns_a_journal_without_flags(tmp_path):
+    # a journal whose entries name no seed and samples counts nothing as done
+    out = tmp_path / "old.jsonl"
+    first = run_sweep(7, 150, samples=50, seed=1, out_path=out)
+    journal = tmp_path / "old.jsonl.journal"
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert all((e.pop("seed"), e.pop("samples")) == (1, 50) for e in entries)
+    journal.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    before = _records(out)
+    ran = []
+    run_sweep(7, 150, samples=50, seed=1, out_path=out, resume=True,
+              progress=lambda key, rec: ran.append(key))
+    assert len(ran) == first.pairs and _records(out) == before
+
+
 def test_run_sweep_resume_drops_torn_last_lines(tmp_path):
     # an interrupted write leaves the last line of the output or of the
     # journal cut short; resume drops such a line and runs its pair again
