@@ -193,16 +193,18 @@ class ConditionEngine:
 
         Row i - 1 has Cayley image w = gamma^i for 0 < i <= (q-1)/2, whose
         norms delta^i meet each class {nu, 1/nu} once; the last three rows
-        have images gamma^-1, gamma^q and gamma^(q-2), the other three
-        H-classes of gamma's norm class.  Rows must have determinant 1 and
-        Cayley image w: near = w * far, where near - far = (xi^q - xi)(c xi
-        + d) is nonzero, so neither is 0 and the row lies outside D.
+        have images gamma^-1, gamma^q (the Frobenius image) and gamma^(q-2)
+        = gamma^q gamma^-2, the other three H-classes of gamma's norm class.
+        Rows must have determinant 1 and Cayley image w: near = w * far,
+        where near - far = (xi^q - xi)(c xi + d) is nonzero, so neither is 0
+        and the row lies outside D.
         """
         q = self.q
         fq, fq2 = self.fq, self.gens.setup.fq2
         gamma = fq2.first_primitive()
         w = list(accumulate(repeat(gamma, (q - 3) // 2), fq2.mul, initial=gamma))
-        w = tuple(np.array(w + [fq2.pow(gamma, e) for e in (-1, q, q - 2)]).T)
+        inv, frob = fq2.inv(gamma), fq2.frobenius(gamma)
+        w = tuple(np.array(w + [inv, frob, fq2.mul(frob, fq2.mul(inv, inv))]).T)
         rows = self._cayley_rows(w)
         a, b, c, d = rows.T
         x0, x1 = self._xi  # u0 + u1 xi = (u0 + u1 x0, u1 x1) in the basis of fq2

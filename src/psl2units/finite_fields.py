@@ -526,17 +526,6 @@ class QuadraticExtension:
                 return u
         raise InvariantViolated(f"F_({q}^2)* has no generator, though it is cyclic")
 
-    def pow(self, u, e):
-        if e < 0:
-            u, e = self.inv(u), -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, u)
-            u = self.mul(u, u)
-            e >>= 1
-        return result
-
 
 # ---------------------------------------------------------------------------
 # Setup: alpha, t, beta

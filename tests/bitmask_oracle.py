@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 from psl2units.errors import BalanceFamiliesDisagree, HInDihedralizer, InvariantViolated
 
+from conftest import ext_pow
+
 
 def mask_of(points) -> int:
     m = 0
@@ -211,7 +213,7 @@ def coset_key(gens, h):
     F_{q^2}*, the kernel of x -> x^((q+1)/2); so two elements share a key
     exactly when they share a double coset <g> h <g>.
     """
-    return gens.setup.fq2.pow(cayley_image(gens, h), (gens.q + 1) // 2)
+    return ext_pow(gens.setup.fq2, cayley_image(gens, h), (gens.q + 1) // 2)
 
 
 def norm_class(gens, h):

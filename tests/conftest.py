@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from psl2units.classify import dpc_verdict
 from psl2units.errors import InvalidSpec, InvariantViolated, ZeroElement
 from psl2units.finite_fields import PrimePower, build_setup, factorize
 from psl2units.group_ring import GroupRingElement, hat
 from psl2units.orbits import build_orbits
 from psl2units.projective import make_generators
 from psl2units.spectral import vanishes
+
+# pytest rewrites the asserts of test modules and conftest only; under
+# python -O a plain assert in a helper module would vanish and let the
+# verdict_check child pass, so the helpers' asserts are rewritten too
+pytest.register_assert_rewrite("bitmask_oracle")
 
 
 def _context(l, r, p):
@@ -50,6 +56,19 @@ def ctx27():
 @pytest.fixture(scope="session")
 def ctx37():
     return _context(37, 1, 19)
+
+
+@pytest.fixture(scope="session")
+def small_group_verdicts():
+    """dpc_verdict(q, p, brute=True) for q = 4..13 and each prime p > 3
+    dividing |PSL(2,q)|, keyed by (q, p) in increasing order."""
+    out = {}
+    for q in (4, 5, 7, 9, 11, 13):
+        order = q * (q * q - 1) // (1 + q % 2)
+        for p in sorted(factorize(order)):
+            if p > 3:
+                out[q, p] = dpc_verdict(q, p, brute=True)
+    return out
 
 
 def random_outside_dihedralizer(gens, rng):
@@ -115,9 +134,22 @@ def ext_element_order(fq2, u):
         raise ZeroElement("order of 0 is undefined")
     o = fq2.q * fq2.q - 1
     for s in factorize(o):
-        while o % s == 0 and fq2.pow(u, o // s) == fq2.one:
+        while o % s == 0 and ext_pow(fq2, u, o // s) == fq2.one:
             o //= s
     return o
+
+
+def ext_pow(fq2, u, e):
+    """u^e in F_{q^2}, by squaring and multiplying; e < 0 inverts u."""
+    if e < 0:
+        u, e = fq2.inv(u), -e
+    result = fq2.one
+    while e:
+        if e & 1:
+            result = fq2.mul(result, u)
+        u = fq2.mul(u, u)
+        e >>= 1
+    return result
 
 
 # -- group ring units that only the tests build ---------------------------------

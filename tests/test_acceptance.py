@@ -12,9 +12,9 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from psl2units.classify import dpc_verdict, multiplicative_order
+from psl2units.classify import multiplicative_order
 from psl2units.engine import ConditionEngine
-from psl2units.finite_fields import PrimePower, factorize, make_field
+from psl2units.finite_fields import PrimePower, make_field
 from psl2units.group_ring import GroupRingElement, bicyclic_right
 from psl2units.projective import PSL2
 from psl2units.spectral import (
@@ -178,16 +178,8 @@ def test_criterion_3_not_all_h_satisfy():
                     detail or "every h certified in every tested pair")
 
 
-def test_criterion_4_classification_agreement():
-    from math import gcd
-    results = []
-    for q in (4, 5, 7, 9, 11, 13):
-        order = q * (q * q - 1) // gcd(2, q + 1)
-        for p in sorted(factorize(order)):
-            if p <= 3:
-                continue
-            v = dpc_verdict(q, p, brute=True)
-            results.append(((q, p), v.predicate, v.witnessed))
+def test_criterion_4_classification_agreement(small_group_verdicts):
+    results = [(key, v.predicate, v.witnessed) for key, v in small_group_verdicts.items()]
     ok = all(pred == wit for _, pred, wit in results)
     table = {key: pred for key, pred, _ in results}
     ok = ok and table[(4, 5)] is True and table[(9, 5)] is False

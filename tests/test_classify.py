@@ -2,7 +2,7 @@ import pytest
 
 from psl2units.classify import (
     FAILS, ORDER_CONDITION, P5_EXCEPTIONAL, dpc_brute_force, dpc_predicate,
-    dpc_verdict, multiplicative_order,
+    multiplicative_order,
 )
 from psl2units.errors import GroupTooLarge, NoElementOfOrderP, NotCoprime
 from psl2units.finite_fields import factorize, make_field, prime_power_decomposition
@@ -46,10 +46,10 @@ def test_order_condition_implies_q_plus_1_divisibility():
                 assert q % p != 0 and (q - 1) % p != 0
 
 
-def test_brute_force_examples():
-    assert dpc_brute_force(5, 5) is True
-    assert dpc_brute_force(9, 5) is False
-    assert dpc_brute_force(13, 7) is True
+def test_brute_force_examples(small_group_verdicts):
+    assert small_group_verdicts[5, 5].witnessed is True
+    assert small_group_verdicts[9, 5].witnessed is False
+    assert small_group_verdicts[13, 7].witnessed is True
 
 
 def test_brute_force_guards():
@@ -64,14 +64,10 @@ def _group_order(q):
     return q * (q * q - 1) // gcd(2, q + 1)
 
 
-def test_predicate_matches_brute_force_on_small_groups():
-    for q in (4, 5, 7, 9, 11, 13):
-        for p in sorted(factorize(_group_order(q))):
-            if p <= 3:
-                continue
-            verdict = dpc_verdict(q, p, brute=True)
-            assert verdict.witnessed is not None
-            assert verdict.predicate == verdict.witnessed, (q, p, verdict)
+def test_predicate_matches_brute_force_on_small_groups(small_group_verdicts):
+    for (q, p), verdict in small_group_verdicts.items():
+        assert verdict.witnessed is not None
+        assert verdict.predicate == verdict.witnessed, (q, p, verdict)
 
 
 def test_brute_force_picks_the_first_element_of_order_p():

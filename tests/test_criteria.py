@@ -101,6 +101,7 @@ def test_balance_families_agree(ctx13, ctx25, ctx27, ctx37):
     assert seen_unbalanced
 
 
+@pytest.mark.verdict_check
 def test_balance_family_mismatch_raises(ctx27):
     # inconsistent triple counts are refused with a typed error, not an
     # assert, so the check survives python -O
@@ -330,6 +331,7 @@ def _signed_rows(tab, on_o0, on_o1):
     return tab.rows(np.where(tab.glabel == 1, on_o0, on_o1).astype(np.int8))
 
 
+@pytest.mark.verdict_check
 def test_engine_balance_mismatch_raises(ctx27):
     # inconsistent layers: every point in g^h(O_1) and none in h^-1(O_0);
     # the family with first index 0 sees balance, the one with first index
@@ -340,6 +342,7 @@ def test_engine_balance_mismatch_raises(ctx27):
         shift_sums(np.zeros_like(cross)[None], cross[None])
 
 
+@pytest.mark.verdict_check
 def test_zero_shift_defect_raises(ctx27):
     # layers whose cross total vanishes but whose D_0 is (q + 1)/2: O_0
     # inside both h^-1(O_0) and g^h(O_1), O_1 inside g^h(O_0)
@@ -358,6 +361,7 @@ def test_engine_census_q27(ctx27):
     assert (satisfied, unbalanced, total) == (8624, 9408, 9800)
 
 
+@pytest.mark.verdict_check
 def test_lazy_verdict_checks_rows_meeting_the_condition(ctx27):
     # verdicts reads no shift sum on a row with lhs != rhs, but the cross
     # total and D_0 checks still run there.  The corrupted layers: every
@@ -482,6 +486,7 @@ def test_verdicts_constant_on_norm_classes(ctx, request):
         assert len(np.unique(columns[inverse == k], axis=0)) == 1
 
 
+@pytest.mark.verdict_check
 @pytest.mark.parametrize("column", [0, 3])
 def test_partner_verdict_mismatch_raises(ctx27, monkeypatch, column):
     # gamma^-1, gamma^q and gamma^(q-2) share gamma's norm class, so the
@@ -500,6 +505,7 @@ def test_partner_verdict_mismatch_raises(ctx27, monkeypatch, column):
         eng.survey()
 
 
+@pytest.mark.verdict_check
 def test_repeated_double_coset_raises(ctx27, monkeypatch):
     # the constructed rows are checked, not trusted: a row replaced by
     # another element g h g of the previous row's double coset is rejected

@@ -12,7 +12,7 @@ from psl2units.finite_fields import (
     factorize, is_prime, make_field, prime_power_decomposition,
 )
 
-from conftest import ext_element_order
+from conftest import ext_element_order, ext_pow
 
 
 def _irreducible_quadratics(l):
@@ -250,7 +250,7 @@ def test_frobenius_involution_and_fixed_field(l, r):
         u = fq2.from_encoding(e)
         v = fq2.frobenius(u)
         assert fq2.frobenius(v) == u
-        assert fq2.pow(u, q * q) == u or u == fq2.zero
+        assert ext_pow(fq2, u, q * q) == u or u == fq2.zero
         if v == u:
             fixed += 1
     assert fixed == q  # Frobenius fixes exactly the base field
@@ -360,7 +360,7 @@ def _setup_scan_from_one(pp):
     fq2 = QuadraticExtension(fq)
     q = pp.q
     for e in range(1, q * q):
-        cand = fq2.pow(fq2.from_encoding(e), q - 1)
+        cand = ext_pow(fq2, fq2.from_encoding(e), q - 1)
         if cand != fq2.one and ext_element_order(fq2, cand) == q + 1:
             alpha = cand
             break
@@ -402,7 +402,7 @@ def test_ratio_trace_and_order_test_match_scalar_powers(q):
     fq2 = QuadraticExtension(make_field(*prime_power_decomposition(q)))
     for e in range(q, q * q):
         xi = fq2.from_encoding(e)
-        u = fq2.pow(xi, q - 1)
+        u = ext_pow(fq2, xi, q - 1)
         s = fq2.ratio_trace(xi)
         assert s == fq2.trace(u)
         assert fq2.generates_norm_one(s) == (ext_element_order(fq2, u) == q + 1)

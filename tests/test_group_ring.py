@@ -81,6 +81,7 @@ def test_hat_matches_two_walks_on_every_element(field):
     assert count == G.order()
 
 
+@pytest.mark.verdict_check
 def test_hat_refuses_an_order_above_q_plus_1(ctx13):
     gens, _ = ctx13
     small = copy.copy(gens.group)

@@ -213,6 +213,7 @@ def test_doubling_walk_matches_point_by_point(q, p):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.verdict_check
 def test_doubling_walk_rejects_what_the_point_walk_rejects(ctx13, ctx25):
     # sigma closes its fixed points' walks and breaks the third, the
     # identity closes every walk and leaves too many, and random elements

@@ -421,6 +421,7 @@ def _orbit_minima(perm_x):
     return least
 
 
+@pytest.mark.verdict_check
 @pytest.mark.parametrize("ctx", ["ctx13", "ctx16"])
 def test_row_displacement_refuses_columns_that_miss_an_x_orbit(ctx, request):
     # one column on each x-orbit but the last, whose columns would go unchecked
