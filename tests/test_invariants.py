@@ -53,13 +53,23 @@ def test_setup_winner_check_is_refused(monkeypatch):
 
 @pytest.mark.verdict_check
 def test_generators_of_a_corrupted_setup_are_rejected():
-    # t = 2 makes g = [[0, -1], [1, 2]] unipotent, of order 13; t = beta +
-    # 1/beta makes g split semisimple, conjugate to sigma, of order 6
+    # t = 2 makes g = [[0, -1], [1, 2]] unipotent, of order 13
+    setup = dataclasses.replace(build_setup(PrimePower.from_q(13)), t=2)
+    with pytest.raises(InvariantViolated, match="^q=13: g does not have order 7$"):
+        make_generators(setup, 7)
+
+
+@pytest.mark.verdict_check
+def test_semisimple_wrong_order_g_is_rejected_under_python_O():
+    # t = beta + 1/beta makes g split semisimple, conjugate to sigma: its
+    # trace is not +-2 and its order is 6, not 7.  Its name predates the
+    # verdict_check marker; test_verdict_checks_raise_under_python_O reruns
+    # it under -O
     setup = build_setup(PrimePower.from_q(13))
     fq = setup.fq
-    for t in (2, fq.add(setup.beta, fq.inv(setup.beta))):
-        with pytest.raises(InvariantViolated, match="^q=13: g does not have order 7$"):
-            make_generators(dataclasses.replace(setup, t=t), 7)
+    setup = dataclasses.replace(setup, t=fq.add(setup.beta, fq.inv(setup.beta)))
+    with pytest.raises(InvariantViolated, match="^q=13: g does not have order 7$"):
+        make_generators(setup, 7)
 
 
 @pytest.mark.verdict_check
