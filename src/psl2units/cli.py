@@ -3,8 +3,9 @@
 Subcommands: ``sweep`` reproduces the full parameter sweep, ``check``
 runs one (q, p) pair, ``classify`` reports the critical-element verdict,
 ``spectral`` certifies the four-intersection hypotheses for a given h.
-Exit code 0 means no possible counterexample was seen; bad input and an
-unwritable --out exit with code 2 and an ``error:`` line on stderr.
+Exit code 0 means no possible counterexample was seen and 1 that one
+was; bad input, an unwritable --out and running out of memory exit with
+code 2 and an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -87,11 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="sweep all admissible (q, p) in a range")
     sw.add_argument("--q-min", type=int, required=True)
     sw.add_argument("--q-max", type=int, required=True)
-    sw.add_argument("--samples", type=int, default=200)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--jobs", type=int, default=1)
-    sw.add_argument("--out", default="sweep.jsonl")
-    sw.add_argument("--resume", action="store_true")
+    sw.add_argument("--samples", type=int, default=200,
+                    help="draws of h a pair gets before it is a possible counterexample")
+    sw.add_argument("--seed", type=int, default=0, help="seed of every pair's draws")
+    sw.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
+    sw.add_argument("--out", default="sweep.jsonl",
+                    help="JSON-lines output; each record is first journaled in OUT.journal")
+    sw.add_argument("--resume", action="store_true",
+                    help="rebuild --out from OUT.journal, for the same seed and samples, "
+                         "and run only the pairs it lacks")
     sw.add_argument("--quiet", action="store_true")
     sw.set_defaults(func=_cmd_sweep)
 
@@ -130,6 +135,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input, or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a q too large for this machine, not a counterexample
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

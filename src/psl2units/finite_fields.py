@@ -196,9 +196,6 @@ class Field:
     q: int
     generator: int                       # the first encoding of order q - 1
 
-    def elements(self):
-        return range(self.q)
-
     @cached_property
     def square_roots(self):
         """int64 array holding the smaller encoding of +-x at index x^2, and 0
@@ -431,9 +428,6 @@ class QuadraticExtension:
 
     def from_encoding(self, e):
         return (e % self.q, e // self.q)
-
-    def encoding(self, u):
-        return u[0] + u[1] * self.q
 
     def add(self, u, v):
         fq = self.base

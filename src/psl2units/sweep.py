@@ -3,9 +3,11 @@
 For every odd prime power q in range and every prime p > 5 dividing
 q + 1 a task searches G - D for an element satisfying the companion
 condition, either by seeded sampling or by deterministic exhaustion.
-Results are streamed as JSON lines in canonical (q, p) order; an
-append-only journal of digests makes interrupted runs resumable with
-exactly-once semantics.
+Results are streamed as JSON lines in canonical (q, p) order. Each
+record is first appended to a journal beside the output, with its digest
+and the run's seed and samples; a resumed run rebuilds the output from
+the journal alone, so an interrupted run loses no record and runs no
+journaled pair twice.
 """
 
 from __future__ import annotations
@@ -164,48 +166,32 @@ def check_single(q: int, p: int, exhaustive: bool = False, samples: int = 200,
 # Journal and resumable runs
 
 
-def _journal_path(out_path: Path) -> Path:
-    return out_path.with_name(out_path.name + ".journal")
+def _journal_line(line: str, digest: str, seed: int, samples: int) -> str:
+    """The journal entry of an output line, formatted around it so that the
+    record is serialized once."""
+    return f'{{"seed": {seed}, "samples": {samples}, "digest": "{digest}", "record": {line}}}\n'
 
 
-def _journal_line(key: tuple[int, int], digest: str, seed: int, samples: int) -> str:
-    return json.dumps({"q": key[0], "p": key[1], "digest": digest,
-                       "seed": seed, "samples": samples}) + "\n"
-
-
-def _json_lines(path: Path):
-    """(line, decoded) for each line of path that decodes to a JSON object
-    with integer q and p; any other line, such as one torn by an
-    interrupted write, is dropped so that its pair runs again."""
-    if not path.exists():
-        return
-    for line in path.read_text().splitlines():
+def _load_journal(journal: Path, pairs, seed: int,
+                  samples: int) -> dict[tuple[int, int], tuple[str, str]]:
+    """The journal entry and the output line of each of pairs whose entry
+    was run under seed and samples and whose record matches its digest.
+    Any other entry, such as one torn by an interrupted write, is dropped
+    so that its pair runs again."""
+    wanted = set(pairs)
+    kept = {}
+    for entry in journal.read_text().splitlines() if journal.exists() else ():
         try:
-            decoded = json.loads(line)
+            e = json.loads(entry)
         except json.JSONDecodeError:
             continue
-        if isinstance(decoded, dict) and all(type(decoded.get(k)) is int for k in ("q", "p")):
-            yield line, decoded
-
-
-def _load_journal(out_path: Path, pairs, seed: int, samples: int) -> dict[tuple[int, int], str]:
-    """Digests of the journal's entries for pairs, run under seed and samples;
-    any other entry is dropped, so that its pair runs again."""
-    wanted = set(pairs)
-    return {(e["q"], e["p"]): e["digest"] for _, e in _json_lines(_journal_path(out_path))
-            if (e["q"], e["p"]) in wanted and "digest" in e
-            and (e.get("seed"), e.get("samples")) == (seed, samples)}
-
-
-def _compact_output(out_path: Path,
-                    done: dict[tuple[int, int], str]) -> dict[tuple[int, int], str]:
-    """Keep exactly one record per journaled key whose digest matches its
-    journal entry, dropping orphans and altered lines."""
-    kept: dict[tuple[int, int], str] = {}
-    for line, rec in _json_lines(out_path):
-        key = (rec["q"], rec["p"])
-        if key in done and key not in kept and _payload_digest(rec) == done[key]:
-            kept[key] = line
+        rec = e.get("record") if isinstance(e, dict) else None
+        if (isinstance(rec, dict) and all(type(rec.get(k)) is int for k in ("q", "p"))
+                and (rec["q"], rec["p"]) in wanted
+                and (e.get("seed"), e.get("samples")) == (seed, samples)
+                and e.get("digest") == _payload_digest(rec)):
+            kept[rec["q"], rec["p"]] = (entry + "\n",
+                                        json.dumps(rec, separators=(", ", ": ")) + "\n")
     return kept
 
 
@@ -234,7 +220,10 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
 
     Records are emitted in canonical (q, p) order regardless of worker
     completion order, so identical flags and seed produce byte-identical
-    output up to the elapsed_ms field.
+    output up to the elapsed_ms field. Each record goes to the journal
+    ``<out_path>.journal`` before it goes to out_path. With resume, out_path
+    is never read: it is rewritten from the journal's records for this
+    range, seed and samples, and only the other pairs are run.
     """
     if samples < 1:
         raise ValueError(f"samples={samples} must be at least 1")
@@ -245,14 +234,15 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
     out_path = Path(out_path)
     pairs = [(pp.q, p) for pp in odd_prime_powers(q_min, q_max)
              for p in admissible_primes(pp.q)]
-    journal = _journal_path(out_path)
+    journal = out_path.with_name(out_path.name + ".journal")
     if resume:
-        done = _load_journal(out_path, pairs, seed, samples)
-        # a journaled pair whose line is missing, altered or torn is run again
-        kept = _compact_output(out_path, done)
+        kept = _load_journal(journal, pairs, seed, samples)
         # the journal keeps exactly the kept pairs, so that no torn last line
-        # swallows the first entry appended after it
-        journal.write_text("".join(_journal_line(k, done[k], seed, samples) for k in kept))
+        # swallows the first entry appended after it; it is replaced whole,
+        # never truncated, as it holds the only copy of a record
+        tmp = journal.with_name(journal.name + ".tmp")
+        tmp.write_text("".join(entry for entry, _ in kept.values()))
+        os.replace(tmp, journal)
     else:
         kept = {}
         journal.unlink(missing_ok=True)
@@ -269,10 +259,12 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
                 counterexamples.append(key)
 
         def emit(key, rec: SweepRecord):
-            out.write(rec.to_json_line() + "\n")
-            out.flush()
-            jn.write(_journal_line(key, rec.digest(), seed, samples))
+            line = rec.to_json_line()
+            # journaled first: a kill before the output line costs no record
+            jn.write(_journal_line(line, rec.digest(), seed, samples))
             jn.flush()
+            out.write(line + "\n")
+            out.flush()
             tally(key, rec.satisfied)
             if not rec.satisfied:
                 import logging  # here: a sweep that finds none never loads it
@@ -293,10 +285,9 @@ def run_sweep(q_min: int, q_max: int, samples: int = 200, seed: int = 0,
             results = pool.map(_run_task, task_args, chunksize=1)
         # kept lines and new records interleave in canonical order
         for key in pairs:
-            if key in kept:
-                out.write(kept[key] + "\n")
-                out.flush()
-                tally(key, json.loads(kept[key])["satisfied"])
+            if key in kept:  # flushed by the next emit: the journal holds it
+                out.write(kept[key][1])
+                tally(key, json.loads(kept[key][1])["satisfied"])
             else:
                 emit(*next(results))
 

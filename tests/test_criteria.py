@@ -250,7 +250,7 @@ def _dihedralizer(gens):
     """D as <g> and its coset w<g>, w = (a, b, b - a t, -a) the first such
     matrix of determinant 1; every one of them inverts g = (0, -1, 1, t)."""
     G, fq, t = gens.group, gens.group.fq, gens.setup.t
-    w = next(m for a in fq.elements() for b in fq.elements()
+    w = next(m for a in range(fq.q) for b in range(fq.q)
              for m in [(a, b, fq.sub(b, fq.mul(a, t)), fq.neg(a))]
              if fq.sub(fq.mul(m[0], m[3]), fq.mul(m[1], m[2])) == 1)
     torus = [G.power(gens.g, k) for k in range((gens.q + 1) // gens.d_prime)]
@@ -456,9 +456,9 @@ def test_coset_keys_are_the_double_cosets(ctx, request):
     # on a class
     eng = ConditionEngine(*request.getfixturevalue(ctx))
     mats = _outside_d(eng)
-    fq2 = eng.gens.setup.fq2
-    keys = [fq2.encoding(coset_key(eng.gens, tuple(row))) for row in mats.tolist()]
-    classes, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    keys = [coset_key(eng.gens, tuple(row)) for row in mats.tolist()]
+    classes, inverse, sizes = np.unique([u + v * eng.q for u, v in keys],
+                                        return_inverse=True, return_counts=True)
     assert len(classes) == 2 * eng.q - 4
     assert set(sizes.tolist()) == {((eng.q + 1) // 2) ** 2}
     columns = np.stack([col.astype(np.int64) for col in eng.criteria_batch(mats)], axis=1)

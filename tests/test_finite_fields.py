@@ -152,7 +152,9 @@ def test_moduli_match_product_sieve():
 def test_f16_cardinality():
     fq = make_field(2, 4)
     assert fq.q == 16
-    assert len(list(fq.elements())) == 16
+    # the encodings 0..15 are closed under both operations
+    for op in (fq.add, fq.mul):
+        assert {op(a, b) for a in range(fq.q) for b in range(fq.q)} == set(range(16))
 
 
 def test_make_field_rejects_composite_characteristic():

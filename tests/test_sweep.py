@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import psl2units
+from psl2units import cli, sweep
 from psl2units.cli import main
 from psl2units.errors import InadmissiblePair
 from psl2units.sweep import (
@@ -244,8 +245,8 @@ def test_run_sweep_resume(tmp_path):
     journal_lines = (tmp_path / "full.jsonl.journal").read_text().splitlines()
     assert len(full_lines) == len(journal_lines) == summary.pairs
 
-    # simulate a crash: keep the first 3 completed records plus one
-    # orphan record whose journal line was never written
+    # keep the first 3 journal entries and 4 output lines: the 4th pair,
+    # which the journal lacks, runs again
     crash = tmp_path / "crash.jsonl"
     crash.write_text("\n".join(full_lines[:4]) + "\n")
     (tmp_path / "crash.jsonl.journal").write_text("\n".join(journal_lines[:3]) + "\n")
@@ -341,14 +342,77 @@ def test_run_sweep_resume_drops_torn_last_lines(tmp_path):
                 == len(lines)
 
 
+def test_run_sweep_resume_killed_at_a_rerun_pair_loses_no_record(tmp_path, monkeypatch):
+    # a resume killed while it runs the one pair missing from the journal
+    # has already rewritten the output; the next resume runs that pair only
+    clean, out = tmp_path / "clean.jsonl", tmp_path / "killed.jsonl"
+    run_sweep(7, 150, samples=50, seed=4, out_path=clean)
+    first = run_sweep(7, 150, samples=50, seed=4, out_path=out)
+    journal = tmp_path / "killed.jsonl.journal"
+    entries = journal.read_text().splitlines(keepends=True)
+    dropped = tuple(json.loads(out.read_text().splitlines()[3])[k] for k in ("q", "p"))
+    journal.write_text("".join(entries[:3] + entries[4:]))
+    evaluate_pair = sweep.evaluate_pair
+
+    def killed_at_dropped(q, p, **kwargs):
+        if (q, p) == dropped:
+            raise KeyboardInterrupt
+        return evaluate_pair(q, p, **kwargs)
+
+    monkeypatch.setattr(sweep, "evaluate_pair", killed_at_dropped)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(7, 150, samples=50, seed=4, out_path=out, resume=True)
+    monkeypatch.undo()
+    ran = []
+    resumed = run_sweep(7, 150, samples=50, seed=4, out_path=out, resume=True,
+                        progress=lambda key, rec: ran.append(key))
+    assert ran == [dropped]
+    assert (resumed.pairs, resumed.satisfied) == (first.pairs, first.pairs)
+    assert _records(out) == _records(clean)
+
+
+def test_run_sweep_resume_rebuilds_a_deleted_output(tmp_path):
+    # the journal alone holds every record: nothing runs, and the output
+    # comes back byte for byte, elapsed_ms included
+    out = tmp_path / "deleted.jsonl"
+    first = run_sweep(7, 150, samples=50, seed=4, out_path=out)
+    before = out.read_bytes()
+    out.unlink()
+    ran = []
+    resumed = run_sweep(7, 150, samples=50, seed=4, out_path=out, resume=True,
+                        progress=lambda key, rec: ran.append(key))
+    assert ran == [] and (resumed.pairs, resumed.satisfied) == (first.pairs, first.pairs)
+    assert out.read_bytes() == before
+
+
+def test_run_sweep_resume_never_truncates_the_journal(tmp_path, monkeypatch):
+    # resume trims the journal's torn last entry through a new file; if that
+    # file cannot replace the journal, the journal is left as it was
+    out = tmp_path / "trim.jsonl"
+    run_sweep(7, 150, samples=50, seed=4, out_path=out)
+    journal = tmp_path / "trim.jsonl.journal"
+    journal.write_text(journal.read_text()[:-30])
+    before = journal.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        run_sweep(7, 150, samples=50, seed=4, out_path=out, resume=True)
+    assert journal.read_bytes() == before
+
 
 def _partial_line(line: str, bad: str) -> str:
     """A line that is valid JSON but not a full record or journal entry:
-    an array, a q in a list, or the object without its key ``bad``."""
+    an array, a q in a list (in a journal entry, its record's q), or the
+    object without its key ``bad``."""
     if bad == "array":
         return "[1, 2]"
     obj = json.loads(line)
     if bad == "listed q":
+        if "record" in obj:
+            return json.dumps(dict(obj, record=dict(obj["record"], q=[obj["record"]["q"]])))
         return json.dumps(dict(obj, q=[obj["q"]]))
     return json.dumps({k: v for k, v in obj.items() if k != bad})
 
@@ -357,8 +421,9 @@ def _partial_line(line: str, bad: str) -> str:
     ("tries", False), ("array", False), ("listed q", False),
     ("digest", True), ("array", True), ("listed q", True)])
 def test_run_sweep_resume_reruns_valid_json_partial_record(tmp_path, bad, in_journal):
-    # a record or journal entry that is valid JSON but not well formed
-    # counts as torn: resume runs its pair again instead of stopping
+    # a journal entry that is valid JSON but not well formed counts as
+    # torn: resume runs its pair again instead of stopping; a malformed
+    # output line is never read, as the output is rebuilt from the journal
     clean = tmp_path / "clean.jsonl"
     run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=clean)
     lines = clean.read_text().splitlines()
@@ -368,7 +433,10 @@ def test_run_sweep_resume_reruns_valid_json_partial_record(tmp_path, bad, in_jou
     out = tmp_path / "partial.jsonl"
     out.write_text("\n".join(out_lines) + "\n")
     (tmp_path / "partial.jsonl.journal").write_text("\n".join(journal) + "\n")
-    resumed = run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=out, resume=True)
+    ran = []
+    resumed = run_sweep(7, 100, samples=50, seed=2, jobs=1, out_path=out, resume=True,
+                        progress=lambda key, rec: ran.append(key))
+    assert len(ran) == int(in_journal)
     assert (resumed.pairs, resumed.satisfied, resumed.counterexamples) \
         == (len(lines), len(lines), [])
     assert [record_from_json(json.loads(line)).digest()
@@ -400,6 +468,19 @@ def test_cli_check_inadmissible(capsys):
     rc = main(["check", "--q", "16", "--p", "17"])
     assert rc == 2
     assert "inadmissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.45 GiB"], ids=["bare", "numpy"])
+def test_cli_out_of_memory_is_a_typed_error(monkeypatch, capsys, message):
+    # exit code 1 means a possible counterexample; running out of memory is 2
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "check_single", out_of_memory)
+    assert main(["check", "--q", "1000000007", "--p", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: out of memory: {message}\n"
 
 
 def test_cli_classify(capsys):
@@ -503,7 +584,8 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_sweep_resume_reruns_partial_record(tmp_path):
-    # a record line without its mode is run again, with exit code 0
+    # a record line without its mode is rewritten from the journal, with
+    # exit code 0
     out = tmp_path / "cli.jsonl"
     argv = ("sweep", "--q-min", "7", "--q-max", "60", "--samples", "50", "--seed", "2",
             "--out", str(out), "--quiet")
@@ -530,7 +612,9 @@ def test_cli_console_script_installed():
     assert json.loads(proc.stdout)["satisfied"] is True
 
 
-def test_run_sweep_resume_reruns_altered_line(tmp_path):
+def test_run_sweep_resume_restores_an_altered_line(tmp_path):
+    # the output is rewritten from the journal: the altered line gets back
+    # its journaled record, and no pair runs
     out = tmp_path / "sweep.jsonl"
     run_sweep(7, 200, samples=200, seed=0, jobs=1, out_path=out)
     lines = out.read_text().splitlines()
@@ -541,7 +625,10 @@ def test_run_sweep_resume_reruns_altered_line(tmp_path):
     lines[i] = json.dumps(altered, separators=(", ", ": "))
     out.write_text("\n".join(lines) + "\n")
 
-    resumed = run_sweep(7, 200, samples=200, seed=0, jobs=1, out_path=out, resume=True)
+    ran = []
+    resumed = run_sweep(7, 200, samples=200, seed=0, jobs=1, out_path=out, resume=True,
+                        progress=lambda key, rec: ran.append(key))
+    assert ran == []
     assert (resumed.pairs, resumed.satisfied, resumed.counterexamples) == (31, 31, [])
     after = [json.loads(line) for line in out.read_text().splitlines()]
     assert [(r["q"], r["p"]) for r in after] == [(r["q"], r["p"]) for r in records]
